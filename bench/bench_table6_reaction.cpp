@@ -9,7 +9,15 @@
 // event re-emits every graph) against delta synthesis (only graphs whose
 // description changed are re-emitted). Reaction work must be proportional to
 // the delta, not to the topology size.
+//
+// The rule-scaling sweep times route add/del reactions on XDP gateways with
+// 0, 1k and 10k classified FORWARD rules. Route events leave the rule table
+// alone, so their reaction cost should not grow with its size; the JSON
+// records the 10k/0 ratio.
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <limits>
 
 #include "bench/bench_util.h"
 #include "core/controller.h"
@@ -159,6 +167,51 @@ int main(int argc, char** argv) {
     row["modeled_s"] = reaction.modeled_seconds;
     reporter.add_row(std::move(row));
   }
+
+  // --- rule-scaling sweep ----------------------------------------------------
+  // Each sample is one command plus the controller's reaction to it. The
+  // repetitions interleave the three gateways so host-speed drift hits all of
+  // them alike; the minimum is the least-disturbed sample.
+  const int kRuleCounts[] = {0, 1000, 10000};
+  const int kSweepReps = reporter.smoke() ? 20 : 100;
+  print_header("Route reaction vs FORWARD rule count (min of " +
+                   std::to_string(2 * kSweepReps) + " route add/del)",
+               "route events do not touch the rule table: flat is right");
+  std::vector<std::unique_ptr<sim::LinuxTestbed>> gateways;
+  for (int rules : kRuleCounts) {
+    sim::ScenarioConfig cfg;
+    cfg.filter_rules = rules;
+    cfg.rule_classifier = true;
+    cfg.accel = sim::Accel::kLinuxFpXdp;
+    gateways.push_back(std::make_unique<sim::LinuxTestbed>(cfg));
+  }
+  std::vector<double> best_ms(gateways.size(),
+                              std::numeric_limits<double>::infinity());
+  for (int rep = 0; rep < kSweepReps; ++rep) {
+    for (std::size_t g = 0; g < gateways.size(); ++g) {
+      for (const char* cmd :
+           {"ip route add 10.201.0.0/24 via 10.10.2.2 dev eth1",
+            "ip route del 10.201.0.0/24"}) {
+        auto t0 = std::chrono::steady_clock::now();
+        gateways[g]->run(cmd);
+        double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+        best_ms[g] = std::min(best_ms[g], ms);
+      }
+    }
+  }
+  print_row({"FORWARD rules", "reaction(ms)"}, {14, 14});
+  for (std::size_t g = 0; g < gateways.size(); ++g) {
+    print_row({std::to_string(kRuleCounts[g]), fmt(best_ms[g], 3)}, {14, 14});
+    reporter.set("route_reaction_ms_at_" + std::to_string(kRuleCounts[g]) +
+                     "_rules",
+                 best_ms[g]);
+  }
+  double rule_scaling = best_ms.back() / best_ms.front();
+  std::printf("\nroute reaction 10k/0 rules: %.2fx\n", rule_scaling);
+  reporter.set("route_reaction_rule_scaling", rule_scaling);
+  gateways.clear();
 
   // --- event-storm mode ------------------------------------------------------
   const int kPods = 64;

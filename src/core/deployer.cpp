@@ -230,10 +230,20 @@ DeployReport Deployer::deploy(const std::vector<SynthesisResult>& results,
       if (metrics_) util::bump(metrics_->counter("fpm." + fpm + ".deployed"));
     }
   }
-  // Withdraw acceleration from devices no longer covered by any graph.
-  for (auto& [key, slot] : attachments_) {
-    if (covered.count(key)) continue;
-    degrade_to_pass(slot);
+  // Withdraw acceleration from devices no longer covered by any graph. A
+  // device that left the kernel has no hook left to park: its slot and guard
+  // unit go with it, so pod churn does not accumulate attachments.
+  for (auto it = attachments_.begin(); it != attachments_.end();) {
+    Slot& slot = it->second;
+    if (covered.count(it->first)) {
+      ++it;
+    } else if (kernel_.dev_by_name(slot.device) == nullptr) {
+      if (guard_) guard_->drop_unit(slot.device, slot.hook);
+      it = attachments_.erase(it);
+    } else {
+      degrade_to_pass(slot);
+      ++it;
+    }
   }
   ++deploys_;
   report.modeled_compile_seconds =

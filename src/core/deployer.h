@@ -55,9 +55,10 @@ class Deployer {
   // Deploys every synthesis result; devices with an existing attachment are
   // atomically swapped, new devices get a fresh attachment. Devices that had
   // a fast path but are absent from `results` are swapped to a PASS program
-  // (acceleration withdrawn, Linux handles everything). A device whose
-  // deploy fails is rolled back, recorded in report.failures, and does not
-  // abort the rest of the batch. The failure fallback depends on
+  // (acceleration withdrawn, Linux handles everything); when the device
+  // itself is gone from the kernel, its attachment is released instead. A
+  // device whose deploy fails is rolled back, recorded in report.failures,
+  // and does not abort the rest of the batch. The failure fallback depends on
   // `old_is_current`: when true (forced redeploy with unchanged structural
   // signature, e.g. snippet injection) the previously active program still
   // matches the live configuration and keeps serving; when false (structure

@@ -33,6 +33,17 @@ std::uint32_t mix32(std::uint32_t x) {
   return x;
 }
 
+void add_counters(GuardTotals& t, const GuardUnitStats& s) {
+  t.divergences += s.divergences;
+  t.quarantines += s.quarantines;
+  t.promotions += s.promotions;
+  t.canary_rejections += s.canary_rejections;
+  t.half_open_probes += s.half_open_probes;
+  t.closes += s.closes;
+  t.compares += s.compares;
+  t.sampled += s.sampled;
+}
+
 }  // namespace
 
 const char* guard_mode_name(GuardMode mode) {
@@ -365,7 +376,8 @@ kern::PacketProgram* EquivalenceGuard::attach_unit(
     it->second->att_ = attachment;
     return it->second.get();
   }
-  const std::size_t id = units_.size();
+  std::size_t id = 0;
+  while (id < kMaxUnits && by_id_[id].load(std::memory_order_relaxed)) ++id;
   LFP_CHECK_MSG(id < kMaxUnits, "guard: too many guarded hooks");
   auto unit = std::make_unique<GuardUnit>(*this, static_cast<std::uint8_t>(id),
                                           device, hook, attachment);
@@ -373,6 +385,15 @@ kern::PacketProgram* EquivalenceGuard::attach_unit(
   units_.emplace(key, std::move(unit));
   by_id_[id].store(raw, std::memory_order_release);
   return raw;
+}
+
+void EquivalenceGuard::drop_unit(const std::string& device,
+                                 ebpf::HookType hook) {
+  auto it = units_.find(std::make_pair(device, static_cast<int>(hook)));
+  if (it == units_.end()) return;
+  add_counters(dropped_, it->second->stats());
+  by_id_[it->second->id_].store(nullptr, std::memory_order_release);
+  units_.erase(it);
 }
 
 GuardUnit* EquivalenceGuard::unit(const std::string& device,
@@ -486,17 +507,9 @@ std::uint64_t EquivalenceGuard::next_reprobe_ns() const {
 }
 
 GuardTotals EquivalenceGuard::totals() const {
-  GuardTotals t;
+  GuardTotals t = dropped_;
   for (const auto& [key, u] : units_) {
-    const GuardUnitStats s = u->stats();
-    t.divergences += s.divergences;
-    t.quarantines += s.quarantines;
-    t.promotions += s.promotions;
-    t.canary_rejections += s.canary_rejections;
-    t.half_open_probes += s.half_open_probes;
-    t.closes += s.closes;
-    t.compares += s.compares;
-    t.sampled += s.sampled;
+    add_counters(t, u->stats());
     ++t.units;
     const GuardMode mode = u->mode_.load(std::memory_order_acquire);
     if (mode != GuardMode::kActive) ++t.units_open;

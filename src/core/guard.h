@@ -246,6 +246,9 @@ class EquivalenceGuard : public kern::ShadowObserver {
   kern::PacketProgram* attach_unit(const std::string& device,
                                    ebpf::HookType hook,
                                    ebpf::Attachment* attachment);
+  // The device left the kernel: forget its unit. The unit's counters stay in
+  // totals() and its id becomes free for a later unit.
+  void drop_unit(const std::string& device, ebpf::HookType hook);
   // A successful atomic swap activated a (possibly new) program: fresh units
   // and re-deploys re-enter canary shadow; a quarantined unit's redeploy
   // enters half-open probing.
@@ -292,6 +295,7 @@ class EquivalenceGuard : public kern::ShadowObserver {
   GuardPolicy policy_;
   std::map<std::pair<std::string, int>, std::unique_ptr<GuardUnit>> units_;
   std::array<std::atomic<GuardUnit*>, kMaxUnits> by_id_{};
+  GuardTotals dropped_;  // summed counters of dropped units
   util::Rng reprobe_rng_;
 };
 

@@ -1,5 +1,7 @@
 #include "core/introspect.h"
 
+#include <set>
+
 #include "util/fault.h"
 #include "util/logging.h"
 
@@ -32,6 +34,32 @@ LinkObject link_from_attrs(const util::Json& a) {
     l.ports.push_back(p);
   }
   return l;
+}
+
+// One walk over FORWARD and the chains it reaches through jumps.
+ForwardFacts summarize_forward(
+    const std::map<std::string, ChainObject>& chains) {
+  ForwardFacts f;
+  std::vector<std::string> pending{"FORWARD"};
+  std::set<std::string> visited;
+  while (!pending.empty()) {
+    std::string name = std::move(pending.back());
+    pending.pop_back();
+    if (!visited.insert(name).second) continue;
+    auto it = chains.find(name);
+    if (it == chains.end()) continue;
+    for (const RuleObject& r : it->second.rules) {
+      f.needs_ports = f.needs_ports || r.raw.contains("dport") ||
+                      r.raw.contains("sport") || r.raw.contains("ct_state");
+      f.uses_sets = f.uses_sets || r.raw.contains("match_set");
+      f.has_out_if = f.has_out_if || r.raw.contains("out_if");
+      const std::string& target = r.raw.at("target").as_string();
+      if (target != "ACCEPT" && target != "DROP" && target != "RETURN") {
+        pending.push_back(target);
+      }
+    }
+  }
+  return f;
 }
 
 }  // namespace
@@ -180,6 +208,7 @@ void ServiceIntrospection::refresh_rules() {
     }
     view_.chains[c.name] = std::move(c);
   }
+  view_.forward = summarize_forward(view_.chains);
 }
 
 void ServiceIntrospection::refresh_sets() {

@@ -85,12 +85,28 @@ struct SetObject {
   std::size_t size = 0;
 };
 
+// What the filter FPM is specialized on, summarized over FORWARD and every
+// chain reachable from it through jump targets (user chains are reachable
+// fast-path state too). Computed once per rule-table refresh, so graph
+// rebuilds for route/link/neighbour events never walk the rules.
+struct ForwardFacts {
+  // Any rule requiring L4 port parsing. State matches need ports too: the
+  // conntrack key is the full 5-tuple, so the fast path must hand the helper
+  // real ports for state parity with the slow path.
+  bool needs_ports = false;
+  bool uses_sets = false;
+  // Any rule matching on the output interface (affects where the filter can
+  // run relative to the FIB lookup).
+  bool has_out_if = false;
+};
+
 // The controller's complete introspected view of one kernel.
 struct WorldView {
   std::map<int, LinkObject> links;
   std::vector<RouteObject> routes;
   std::vector<NeighObject> neighbors;
   std::map<std::string, ChainObject> chains;
+  ForwardFacts forward;  // derived from `chains`; refreshed with them
   std::map<std::string, SetObject> sets;
   std::vector<ServiceObject> services;
   std::map<std::string, int> sysctls;

@@ -1,61 +1,6 @@
 #include "core/topology.h"
 
-#include <algorithm>
-
 namespace linuxfp::core {
-
-namespace {
-
-// Walks FORWARD and every chain reachable from it through jump targets,
-// checking `pred` against each rule (user chains are reachable fast-path
-// state too).
-bool any_forward_rule(const WorldView& view,
-                      bool (*pred)(const util::Json&)) {
-  std::vector<std::string> pending{"FORWARD"};
-  std::vector<std::string> visited;
-  while (!pending.empty()) {
-    std::string name = pending.back();
-    pending.pop_back();
-    if (std::find(visited.begin(), visited.end(), name) != visited.end()) {
-      continue;
-    }
-    visited.push_back(name);
-    auto it = view.chains.find(name);
-    if (it == view.chains.end()) continue;
-    for (const RuleObject& r : it->second.rules) {
-      if (pred(r.raw)) return true;
-      const std::string& target = r.raw.at("target").as_string();
-      if (target != "ACCEPT" && target != "DROP" && target != "RETURN") {
-        pending.push_back(target);
-      }
-    }
-  }
-  return false;
-}
-
-// Does any FORWARD-reachable rule require L4 port parsing? State matches
-// need ports too: the conntrack key is the full 5-tuple, so the fast path
-// must hand the helper real ports for state parity with the slow path.
-bool forward_needs_ports(const WorldView& view) {
-  return any_forward_rule(view, [](const util::Json& r) {
-    return r.contains("dport") || r.contains("sport") ||
-           r.contains("ct_state");
-  });
-}
-
-// Any rule matching on the output interface? (affects where the filter can
-// run relative to the FIB lookup)
-bool forward_has_out_if(const WorldView& view) {
-  return any_forward_rule(
-      view, [](const util::Json& r) { return r.contains("out_if"); });
-}
-
-bool forward_uses_sets(const WorldView& view) {
-  return any_forward_rule(
-      view, [](const util::Json& r) { return r.contains("match_set"); });
-}
-
-}  // namespace
 
 util::Json TopologyManager::build(const WorldView& view) const {
   util::Json graphs = util::Json::array();
@@ -97,9 +42,9 @@ util::Json TopologyManager::build_for_device(const WorldView& view,
     util::Json fconf = util::Json::object();
     fconf["hook"] = "FORWARD";
     fconf["rule_count"] = static_cast<std::int64_t>(view.forward_rule_count());
-    fconf["needs_ports"] = forward_needs_ports(view);
-    fconf["uses_sets"] = forward_uses_sets(view);
-    fconf["has_out_if"] = forward_has_out_if(view);
+    fconf["needs_ports"] = view.forward.needs_ports;
+    fconf["uses_sets"] = view.forward.uses_sets;
+    fconf["has_out_if"] = view.forward.has_out_if;
     return fconf;
   };
 

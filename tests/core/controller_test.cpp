@@ -109,9 +109,8 @@ TEST(Controller, NoResynthesisWithoutRelevantChange) {
   Controller controller(dut.kernel);
   controller.start();
   auto n = controller.resynth_count();
-  // Route churn changes the graph signature only via route_count; adding a
-  // route with the same count... actually every add changes the dump, so
-  // instead: polling with no events at all must not resynthesize.
+  // Polling with no pending netlink events is not a reaction: nothing is
+  // rebuilt and nothing is resynthesized.
   auto r = controller.run_once();
   EXPECT_FALSE(r.changed);
   EXPECT_EQ(controller.resynth_count(), n);

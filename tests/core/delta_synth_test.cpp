@@ -244,5 +244,66 @@ TEST(DeltaSynth, FailedDeviceIsResynthesizedDespiteUnchangedGraph) {
   EXPECT_LT(r.synthesized_graphs, r.graphs);
 }
 
+// Filtered gateway: a few thousand FORWARD rules plus a jump into a user
+// chain holding a port match. Route events leave the rule table alone, so
+// the filter facts the graphs carry come from the last rule refresh; after
+// every event the delta controller's graph descriptions must be
+// byte-identical to those of a controller started fresh on the same kernel.
+TEST(DeltaSynth, GatewayGraphsMatchFreshControllerAcrossRouteAndRuleChurn) {
+  kern::Kernel kernel{"gw"};
+  auto run = [&](const std::string& cmd) {
+    auto st = kern::run_command(kernel, cmd);
+    ASSERT_TRUE(st.ok()) << cmd << " — " << st.error().message;
+  };
+  for (const char* d : {"eth0", "eth1"}) {
+    kernel.add_phys_dev(d);
+    run(std::string("ip link set ") + d + " up");
+  }
+  run("ip addr add 10.10.1.1/24 dev eth0");
+  run("ip addr add 10.10.2.1/24 dev eth1");
+  run("sysctl -w net.ipv4.ip_forward=1");
+  run("ip route add 10.100.0.0/16 via 10.10.2.2 dev eth1");
+  run("iptables -N CH");
+  run("iptables -A CH -p tcp --dport 80 -j DROP");
+  run("iptables -A FORWARD -j CH");
+  for (int i = 0; i < 3000; ++i) {
+    run("iptables -A FORWARD -s 172." + std::to_string(16 + i / 250) + "." +
+        std::to_string(i % 250) + ".1 -j DROP");
+  }
+
+  Controller ctl(kernel);
+  ctl.start();
+  // No traffic flows here: the fresh controllers only take over the hooks,
+  // and the comparison reads graph descriptions alone.
+  auto expect_fresh_signature = [&](const std::string& where) {
+    Controller fresh(kernel);
+    fresh.start();
+    EXPECT_EQ(TopologyManager::signature(ctl.current_graphs()),
+              TopologyManager::signature(fresh.current_graphs()))
+        << where;
+  };
+  expect_fresh_signature("startup");
+
+  const std::vector<std::string> events = {
+      "ip route add 10.200.0.0/24 via 10.10.2.2 dev eth1",
+      "iptables -A FORWARD -s 10.77.0.1 -j DROP",
+      "ip route del 10.200.0.0/24",
+      "iptables -D FORWARD 1",  // the jump: no port match reachable
+      "ip route add 10.201.0.0/24 via 10.10.2.2 dev eth1",
+      "iptables -I FORWARD 1 -j CH",
+      "iptables -A CH -o eth1 -j ACCEPT",
+      "ip route add 10.202.0.0/24 via 10.10.2.2 dev eth1",
+      "iptables -D CH 2",
+      "ip route del 10.201.0.0/24",
+      "iptables -D FORWARD 2",
+      "ip route del 10.202.0.0/24",
+  };
+  for (const std::string& cmd : events) {
+    run(cmd);
+    ctl.run_once();
+    expect_fresh_signature(cmd);
+  }
+}
+
 }  // namespace
 }  // namespace linuxfp::core

@@ -9,6 +9,7 @@
 #include "core/guard.h"
 #include "core/status.h"
 #include "engine/rss.h"
+#include "kernel/commands.h"
 #include "tests/kernel/test_topo.h"
 #include "util/fault.h"
 
@@ -300,6 +301,44 @@ TEST(Guard, ForcedBreakerTripDuringRedeployQuarantinesAndRecovers) {
   controller.run_once();
   EXPECT_FALSE(controller.health().degraded);
   EXPECT_EQ(controller.health().guard_recoveries, 1u);
+}
+
+// Ports that leave the kernel release their units: port churn well past the
+// guard's unit-id capacity keeps working, and a dropped unit's counters stay
+// in the totals.
+TEST(Guard, DeletedPortsReleaseTheirUnits) {
+  util::FaultScope faults(204);
+  kern::Kernel k("host");
+  auto run = [&](const std::string& cmd) {
+    auto st = kern::run_command(k, cmd);
+    ASSERT_TRUE(st.ok()) << cmd << ": " << st.error().message;
+  };
+  run("ip link add br0 type bridge");
+  run("ip link set br0 up");
+  ControllerOptions opts = guarded_options(8, 0);
+  opts.attach_bridge_ports = true;
+  Controller controller(k, opts);
+  controller.start();
+
+  for (std::size_t i = 0; i < 2 * EquivalenceGuard::kMaxUnits; ++i) {
+    const std::string port = "p" + std::to_string(i);
+    run("ip link add " + port + " type veth peer name n" + std::to_string(i));
+    run("ip link set " + port + " up");
+    run("ip link set " + port + " master br0");
+    controller.run_once();
+    ASSERT_NE(controller.guard()->unit(port, ebpf::HookType::kXdp), nullptr);
+
+    // Trip the first port's breaker as it leaves: its quarantine must
+    // outlive the unit in the totals.
+    if (i == 0) faults->fail_times(util::kFaultGuardBreaker, 1);
+    run("ip link del " + port);
+    controller.run_once();
+    EXPECT_EQ(controller.guard()->unit(port, ebpf::HookType::kXdp), nullptr);
+  }
+  const GuardTotals t = controller.guard()->totals();
+  EXPECT_EQ(t.units, 0u);
+  EXPECT_EQ(t.quarantines, 1u);
+  EXPECT_EQ(controller.deployer().attachment_count(), 0u);
 }
 
 TEST(Guard, StatusReportsGuardSection) {

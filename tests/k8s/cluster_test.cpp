@@ -116,6 +116,40 @@ TEST(Cluster, PodDeletionWithdrawsPlumbing) {
   EXPECT_TRUE(cluster.run_rr_transaction(a, c).completed);
 }
 
+// Deleted pods release their fast-path attachments: after churn, each node's
+// controller holds exactly one attachment per live bridge port plus one per
+// uplink (the underlay NIC and the VXLAN device).
+TEST(Cluster, PodChurnReleasesAttachments) {
+  Cluster cluster(2);
+  cluster.enable_linuxfp();
+  std::vector<PodRef> live;
+  for (int round = 0; round < 6; ++round) {
+    for (int node = 0; node < cluster.node_count(); ++node) {
+      live.push_back(cluster.launch_pod(node));
+    }
+    for (int i = 0; i < 2; ++i) {
+      cluster.delete_pod(live.front());
+      live.erase(live.begin());
+    }
+  }
+  for (int node = 0; node < cluster.node_count(); ++node) {
+    std::size_t ports = 0;
+    std::size_t uplinks = 0;
+    for (const kern::NetDevice* d : cluster.node(node).devices()) {
+      if (d->master() != 0) {
+        ++ports;
+      } else if (d->kind() == kern::DevKind::kPhysical ||
+                 d->kind() == kern::DevKind::kVxlan) {
+        ++uplinks;
+      }
+    }
+    EXPECT_EQ(uplinks, 2u) << "node " << node;
+    EXPECT_EQ(cluster.controller(node)->deployer().attachment_count(),
+              ports + uplinks)
+        << "node " << node;
+  }
+}
+
 TEST(Cluster, NetworkPolicyStyleIsolationEnforcedOnFastPath) {
   // A kube NetworkPolicy deny between two pods, rendered (as kube-proxy/
   // calico would) into an iptables rule on the node — must be enforced for

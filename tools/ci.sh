@@ -163,6 +163,20 @@ if ratio < 5.0:
     raise SystemExit(f"delta graph-emission ratio {ratio:.1f}x below 5x")
 if not equivalent:
     raise SystemExit("delta deployed FPM set diverged from from-scratch")
+
+# Route reactions must not pay for the rule table: the 10k-rule gateway's
+# route add/del reaction stays within 3x of the rule-free one (~1.2x when
+# the filter facts are summarized per rule refresh, over 10x when every
+# reaction walks every rule).
+scaling = doc["route_reaction_rule_scaling"]
+print(f"reaction rule scaling smoke: "
+      f"0={doc['route_reaction_ms_at_0_rules']:.3f}ms "
+      f"1k={doc['route_reaction_ms_at_1000_rules']:.3f}ms "
+      f"10k={doc['route_reaction_ms_at_10000_rules']:.3f}ms "
+      f"ratio={scaling:.2f}")
+if scaling > 3.0:
+    raise SystemExit(f"route reaction at 10k rules is {scaling:.2f}x the "
+                     f"rule-free one, above 3x")
 EOF
 echo "bench smoke OK"
 
