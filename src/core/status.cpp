@@ -189,20 +189,6 @@ util::Json status_json(Controller& controller) {
     out["flowcache"] = fc;
   }
 
-  // Direct-threaded execution engine (DESIGN.md §14), present only when the
-  // deployer runs the translator: translation census plus runtime fallback
-  // totals (the per-attachment jit.* counters also flow through "metrics").
-  if (controller.deployer().exec_engine() == ebpf::ExecEngine::kJit) {
-    const Deployer::JitSummary js = controller.deployer().jit_summary();
-    util::Json jj = util::Json::object();
-    jj["engine"] = ebpf::exec_engine_name(controller.deployer().exec_engine());
-    jj["translated"] = static_cast<std::int64_t>(js.translated);
-    jj["untranslatable"] = static_cast<std::int64_t>(js.untranslatable);
-    jj["runs"] = static_cast<std::int64_t>(js.runs);
-    jj["fallbacks"] = static_cast<std::int64_t>(js.fallbacks);
-    out["jit"] = jj;
-  }
-
   out["health"] = health_json(controller.health());
 
   // Equivalence-guard breaker state (DESIGN.md §13), present only when the

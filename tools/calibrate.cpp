@@ -1,117 +1,18 @@
 // Calibration probe: prints per-packet cycle totals for the configurations
 // the cost model is calibrated against (DESIGN.md §5). Not a benchmark —
-// a development tool used to tune cost_model.h.
+// a development tool used to tune cost_model.h. The same anchors are gated
+// within 5% by tests/core/calibration_test.cpp.
 #include <cstdio>
+#include <string>
 
-#include "core/controller.h"
-#include "tests/kernel/test_topo.h"
-
-using namespace linuxfp;
-using linuxfp::testing::RouterDut;
-
-std::uint64_t cycles_for(RouterDut& dut, int prefix) {
-  kern::CycleTrace t;
-  dut.tx_eth1.clear();
-  dut.kernel.rx(dut.eth0_ifindex(), dut.packet_to_prefix(prefix), t);
-  return t.total();
-}
+#include "tools/calibration.h"
 
 int main() {
-  double hz = kern::CostModel{}.cpu_hz;
-  auto mpps = [&](std::uint64_t cycles) {
-    return hz / static_cast<double>(cycles) / 1e6;
-  };
-
-  {  // Linux forwarding
-    RouterDut dut;
-    dut.add_prefixes(50);
-    auto c = cycles_for(dut, 3);
-    std::printf("linux fwd:        %6llu cycles  %.3f Mpps (target ~1.00)\n",
-                (unsigned long long)c, mpps(c));
-  }
-  {  // LinuxFP XDP forwarding
-    RouterDut dut;
-    dut.add_prefixes(50);
-    core::Controller ctl(dut.kernel);
-    ctl.start();
-    auto c = cycles_for(dut, 3);
-    std::printf("lfp xdp fwd:      %6llu cycles  %.3f Mpps (target 1.768)\n",
-                (unsigned long long)c, mpps(c));
-  }
-  {  // LinuxFP TC forwarding
-    RouterDut dut;
-    dut.add_prefixes(50);
-    core::ControllerOptions o;
-    o.hook = "tc";
-    core::Controller ctl(dut.kernel, o);
-    ctl.start();
-    auto c = cycles_for(dut, 3);
-    std::printf("lfp tc fwd:       %6llu cycles  %.3f Mpps (target 0.850)\n",
-                (unsigned long long)c, mpps(c));
-  }
-  {  // LinuxFP XDP filtering (100 rules) + fwd
-    RouterDut dut;
-    dut.add_prefixes(50);
-    for (int i = 0; i < 100; ++i) {
-      dut.run("iptables -A FORWARD -s 10.77." + std::to_string(i) +
-              ".0/24 -j DROP");
-    }
-    core::Controller ctl(dut.kernel);
-    ctl.start();
-    auto c = cycles_for(dut, 3);
-    std::printf("lfp xdp filt+fwd: %6llu cycles  %.3f Mpps (target 1.183)\n",
-                (unsigned long long)c, mpps(c));
-    kern::CycleTrace t;
-  }
-  {  // Linux filtering (100 rules) + fwd
-    RouterDut dut;
-    dut.add_prefixes(50);
-    for (int i = 0; i < 100; ++i) {
-      dut.run("iptables -A FORWARD -s 10.77." + std::to_string(i) +
-              ".0/24 -j DROP");
-    }
-    auto c = cycles_for(dut, 3);
-    std::printf("linux filt+fwd:   %6llu cycles  %.3f Mpps (target ~0.60)\n",
-                (unsigned long long)c, mpps(c));
-  }
-  {  // Bridge: slow vs fast
-    kern::Kernel k("br");
-    std::vector<net::Packet> sink;
-    k.add_phys_dev("p1").set_phys_tx([&](net::Packet&& p) {
-      sink.push_back(std::move(p));
-    });
-    k.add_phys_dev("p2").set_phys_tx([&](net::Packet&& p) {
-      sink.push_back(std::move(p));
-    });
-    (void)kern::run_command(k, "brctl addbr br0");
-    for (const char* d : {"p1", "p2", "br0"}) {
-      (void)kern::run_command(k, std::string("ip link set ") + d + " up");
-    }
-    (void)kern::run_command(k, "brctl addif br0 p1");
-    (void)kern::run_command(k, "brctl addif br0 p2");
-    auto a = net::MacAddr::from_id(0xA), b = net::MacAddr::from_id(0xB);
-    k.bridge_by_name("br0")->fdb_learn(a, 0, k.dev_by_name("p1")->ifindex(),
-                                       k.now_ns());
-    k.bridge_by_name("br0")->fdb_learn(b, 0, k.dev_by_name("p2")->ifindex(),
-                                       k.now_ns());
-    net::FlowKey f;
-    f.src_ip = net::Ipv4Addr::parse("1.1.1.1").value();
-    f.dst_ip = net::Ipv4Addr::parse("2.2.2.2").value();
-    kern::CycleTrace slow;
-    k.rx(k.dev_by_name("p1")->ifindex(), net::build_udp_packet(a, b, f, 64),
-         slow);
-    std::printf("linux bridge:     %6llu cycles  %.3f Mpps (target ~1.05)\n",
-                (unsigned long long)slow.total(), mpps(slow.total()));
-
-    core::ControllerOptions o;
-    o.attach_bridge_ports = true;
-    core::Controller ctl(k, o);
-    ctl.start();
-    kern::CycleTrace fast;
-    k.rx(k.dev_by_name("p1")->ifindex(), net::build_udp_packet(a, b, f, 64),
-         fast);
-    std::printf("lfp xdp bridge:   %6llu cycles  %.3f Mpps (target 1.915)\n",
-                (unsigned long long)fast.total(), mpps(fast.total()));
+  for (const auto& a : linuxfp::calibration::measure_anchors()) {
+    std::printf("%-17s %6llu cycles  %.3f Mpps (target %.3f)\n",
+                (std::string(a.name) + ":").c_str(),
+                static_cast<unsigned long long>(a.cycles), a.mpps,
+                a.target_mpps);
   }
   return 0;
 }
