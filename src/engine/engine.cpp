@@ -20,9 +20,7 @@ Engine::Engine(kern::Kernel& kernel, int ifindex, EngineConfig cfg)
   tx_ = std::make_unique<TxEngine>(kernel_, rss_, cfg_.tx, cfg_.queues);
   if (cfg_.gro.enabled) gro_ = std::make_unique<GroEngine>(cfg_.gro);
   if (cfg_.steering.any()) {
-    steerer_ = std::make_unique<FlowSteerer>(
-        rss_, cfg_.steering,
-        [this](unsigned q) { return queues_[q]->ring.occupancy(); });
+    steerer_ = std::make_unique<FlowSteerer>(rss_, cfg_.steering);
   }
 }
 
@@ -330,15 +328,10 @@ void Engine::slow_main() {
       pop_one(std::move(pkt));
       continue;
     }
-    // Slow funnel idle: close the GRO window (napi_complete analogue) and
-    // ring any doorbells deferred by inline slow-path transmits.
-    if (gro_ && gro_->held() > 0) {
-      gro_out.clear();
-      gro_->flush_all(gro_out);
-      for (net::Packet& out : gro_out) handle(std::move(out));
-      continue;
-    }
-    (void)tx_->flush_doorbells();
+    // An idle funnel neither closes the GRO window nor rings doorbells: when
+    // the slow thread happens to find its ring empty is host scheduling, and
+    // modeled cycles must not depend on it. Held runs and deferred doorbells
+    // wait for their own triggers or for stop().
     if (live_workers_.load(std::memory_order_acquire) == 0) {
       // Workers have exited; everything they pushed is visible. Drain the
       // funnel, close GRO, then empty the TX rings and ring the last

@@ -20,7 +20,9 @@
 //     the held run and starts a new one (kernel GRO does the same).
 //   - a held run flushes on: max_segs reached, flow-key or header mismatch,
 //     out-of-order seq, table capacity, age (timeout_folds fold() calls) or
-//     idle (the engine's slow loop finds its ring empty).
+//     flush_all() when the engine stops. Every trigger counts packets, none
+//     reads the host clock or an empty ring, so the super-packets a
+//     single-queue run emits are a pure function of its packet stream.
 //   - any non-coalescable packet that shares a 5-tuple with a held run
 //     flushes that run *before* being emitted, so per-flow packet order is
 //     preserved end to end.
@@ -53,7 +55,7 @@ struct GroStats {
   std::uint64_t coalesced = 0;     // segments merged into a held run
   std::uint64_t superpackets = 0;  // multi-segment packets emitted
   std::uint64_t bypassed = 0;      // packets emitted untouched
-  std::uint64_t flush_idle = 0;
+  std::uint64_t flush_idle = 0;  // flush_all(): the engine's stop-time flush
   std::uint64_t flush_timeout = 0;
   std::uint64_t flush_mismatch = 0;  // header delta or same-flow bypasser
   std::uint64_t flush_ooo = 0;
@@ -72,7 +74,7 @@ class GroEngine {
   // segment is absorbed and appends nothing.
   void fold(net::Packet&& pkt, std::vector<net::Packet>& out);
 
-  // Flushes every held run (idle or shutdown).
+  // Flushes every held run (engine shutdown). Counted in flush_idle.
   void flush_all(std::vector<net::Packet>& out);
 
   const GroStats& stats() const { return stats_; }

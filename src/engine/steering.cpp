@@ -46,11 +46,9 @@ bool SpaceSaving::tracked(std::uint32_t hash) const {
   return false;
 }
 
-FlowSteerer::FlowSteerer(RssClassifier& rss, SteeringConfig cfg,
-                         OccupancyFn occupancy)
+FlowSteerer::FlowSteerer(RssClassifier& rss, SteeringConfig cfg)
     : rss_(rss),
       cfg_(cfg),
-      occupancy_(std::move(occupancy)),
       topk_(cfg.topk),
       queue_load_(rss.queues(), 0) {
   LFP_CHECK_MSG(cfg_.interval >= 1, "steering interval must be positive");
@@ -140,13 +138,11 @@ void FlowSteerer::adapt() {
     if (!rss_.excluded(q)) alive.push_back(q);
   }
 
-  // Effective load: this interval's steered packets plus the live backlog
-  // (a queue that is falling behind sheds load even if its share is fair).
+  // Load: this interval's steered packets per queue.
   std::vector<double> load(queues, 0);
   double alive_total = 0;
   for (unsigned q = 0; q < queues; ++q) {
     load[q] = static_cast<double>(queue_load_[q]);
-    if (occupancy_) load[q] += static_cast<double>(occupancy_(q));
     if (!rss_.excluded(q)) alive_total += load[q];
   }
   bool changed = false;

@@ -5,9 +5,10 @@
 //   * RETA rebalancer — RPS-style re-weighting: instead of only rewriting
 //     the 128-entry indirection table when the watchdog excludes a queue,
 //     a periodic pass re-assigns RETA buckets to queues from the measured
-//     per-bucket packet counts plus live ring occupancy (greedy
-//     longest-processing-time packing), so skewed bucket popularity stops
-//     collapsing onto one worker.
+//     per-bucket packet counts (greedy longest-processing-time packing), so
+//     skewed bucket popularity stops collapsing onto one worker. The pass
+//     weighs only what the producer steered, never live ring occupancy, so
+//     its decisions are a pure function of the packet stream.
 //   * RFS flow affinity — a small steering table keyed by rss_hash pins each
 //     flow to the queue (CPU) that first processed it, which is exactly the
 //     CPU that owns its microflow-cache entry and per-CPU map slots. A RETA
@@ -38,7 +39,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "engine/rss.h"
@@ -46,7 +46,7 @@
 namespace linuxfp::engine {
 
 struct SteeringConfig {
-  bool rebalance = false;  // periodic occupancy-driven RETA re-weighting
+  bool rebalance = false;  // periodic load-driven RETA re-weighting
   bool rfs = false;        // flow->queue affinity table (cache-preserving)
   bool elephants = false;  // top-k detector + hot-flow spray/migration
   // Packets between adaptation passes (the "jiffies" of the rebalancer).
@@ -88,6 +88,8 @@ struct SteeringStats {
   std::uint64_t sprayed = 0;         // packets split across queues
   std::uint64_t spray_flows = 0;     // flows promoted to spray
   std::uint64_t unspray_flows = 0;   // flows demoted back to affinity
+
+  bool operator==(const SteeringStats&) const = default;
 };
 
 // Bounded heavy-hitter sketch (Metwally's space-saving): at most k tracked
@@ -122,13 +124,7 @@ class FlowSteerer {
  public:
   static constexpr unsigned kNoQueue = ~0u;
 
-  // `occupancy` (optional) reports a queue's live rx-ring backlog; the
-  // rebalancer folds it into the load estimate so a queue that is merely
-  // behind (not just popular) sheds buckets first.
-  using OccupancyFn = std::function<std::size_t(unsigned queue)>;
-
-  FlowSteerer(RssClassifier& rss, SteeringConfig cfg,
-              OccupancyFn occupancy = {});
+  FlowSteerer(RssClassifier& rss, SteeringConfig cfg);
 
   // The full steering decision for one packet: spray set, then RFS
   // affinity, then RETA; runs the periodic adaptation pass in-line every
@@ -157,7 +153,6 @@ class FlowSteerer {
 
   RssClassifier& rss_;
   SteeringConfig cfg_;
-  OccupancyFn occupancy_;
 
   std::vector<RfsEntry> rfs_;
   std::size_t rfs_mask_ = 0;

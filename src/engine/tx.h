@@ -16,8 +16,14 @@
 // Doorbell coalescing (skb->xmit_more): TxEngine implements kern::TxBatcher.
 // While installed on the kernel, every physical transmit charges only the
 // descriptor write per packet; the doorbell MMIO is deferred and rung once
-// per burst (config.burst descriptors, or at the end of a drain round / on
-// idle, whichever comes first). burst=1 degenerates to the classic
+// per config.burst descriptors posted to a device, plus once per device with
+// descriptors still pending when the engine stops. Nothing host-timed (the
+// end of a drain round, an idle slow thread) rings it, so a run's doorbell
+// count is ceil(descriptors / burst) per egress device and its TX cycles are
+// a pure function of the packet stream. A drain charges its doorbells to the
+// descriptor that filled the window; doorbells rung outside a drain go to
+// flush_cycles(), so the stack's cycles never depend on how inline and
+// TX-ring transmits interleave. burst=1 degenerates to the classic
 // one-doorbell-per-packet driver and is the "unbatched" leg of the
 // forwarding benchmark. Packets are always delivered to the device
 // immediately and in order — only the *cost* of the doorbell moves.
@@ -81,12 +87,12 @@ class TxEngine : public kern::TxBatcher {
   }
 
   // --- consumer side (slow-path thread only) --------------------------------
-  // Pops up to config().burst descriptors from queue `txq`, transmits each
-  // through dev_xmit, and rings any deferred doorbells at the end of the
-  // round. Returns the number of descriptors moved.
+  // Pops up to config().burst descriptors from queue `txq` and transmits
+  // each through dev_xmit; doorbells ring only at the burst watermark.
+  // Returns the number of descriptors moved.
   std::size_t drain(unsigned txq);
-  // Rings every deferred doorbell (idle / shutdown). Returns cycles charged;
-  // the caller attributes them to its own budget.
+  // Rings every deferred doorbell (shutdown). Returns the cycles charged,
+  // which also accumulate in flush_cycles().
   std::uint64_t flush_doorbells();
   bool all_empty() const;
 
@@ -100,12 +106,12 @@ class TxEngine : public kern::TxBatcher {
   const TxQueueStats& queue_stats(unsigned q) const { return *stats_[q]; }
   std::uint64_t descriptors() const { return descriptors_; }
   std::uint64_t doorbells() const { return doorbells_; }
+  // Doorbells rung outside a TX-ring drain: the stop-time flush, and
+  // windows closed by an inline slow-path transmit. Slow-thread cycles that
+  // belong to no drained descriptor; callers add them to that budget.
   std::uint64_t flush_cycles() const { return flush_cycles_; }
 
  private:
-  // Rings every pending doorbell; returns the cycles to charge.
-  std::uint64_t ring_all();
-
   kern::Kernel& kernel_;
   const RssClassifier& rss_;
   TxConfig cfg_;
@@ -119,7 +125,8 @@ class TxEngine : public kern::TxBatcher {
   std::map<int, unsigned> pending_;
   std::uint64_t descriptors_ = 0;
   std::uint64_t doorbells_ = 0;
-  std::uint64_t flush_cycles_ = 0;  // doorbells rung outside a drain round
+  std::uint64_t flush_cycles_ = 0;
+  bool draining_ = false;  // inside drain(): doorbells go on the packet trace
 };
 
 }  // namespace linuxfp::engine

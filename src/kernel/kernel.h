@@ -114,15 +114,18 @@ class ShadowObserver {
 // physical-NIC transmit cost through the batcher instead of charging the
 // flat driver_tx constant. The batcher charges tx_descriptor per packet on
 // the packet's own trace and defers the doorbell MMIO, ringing it once per
-// xmit_more window — the skb->xmit_more contract: packets are still handed
-// to the device immediately and in order; only the doorbell cost moves.
+// xmit_more window of posted descriptors — the skb->xmit_more contract:
+// packets are still handed to the device immediately and in order; only the
+// doorbell cost moves. The window closes on descriptor counts alone, so the
+// charge never depends on host timing.
 class TxBatcher {
  public:
   virtual ~TxBatcher() = default;
   // Called by dev_xmit for every packet posted to a physical device, after
   // DevStats accounting, instead of the driver_tx charge. `trace` is the
-  // packet's cycle trace; implementations charge tx_descriptor (and, when
-  // the pending window fills, one tx_doorbell) into it.
+  // packet's cycle trace; implementations charge tx_descriptor into it, and
+  // one tx_doorbell when the pending window fills (into the trace or into
+  // the batcher's own budget).
   virtual void post_descriptor(NetDevice& dev, std::size_t bytes,
                                CycleTrace& trace) = 0;
 };

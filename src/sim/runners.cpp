@@ -9,7 +9,7 @@ namespace linuxfp::sim {
 
 ThroughputResult ThroughputRunner::run(DeviceUnderTest& dut,
                                        const PacketFactory& factory,
-                                       int cores, std::size_t frame_len) const {
+                                       int cores) const {
   LFP_CHECK(cores >= 1);
   ThroughputResult result;
   std::vector<util::OnlineStats> per_core(static_cast<std::size_t>(cores));
@@ -44,7 +44,6 @@ ThroughputResult ThroughputRunner::run(DeviceUnderTest& dut,
   // Line-rate cap: the ingress wire can deliver at most nic_bps of framed
   // bits (min frame 64 B + 20 B preamble/IFG).
   net::Packet probe = factory(0);
-  (void)frame_len;
   double wire_bits = static_cast<double>(probe.wire_size()) * 8.0;
   double wire_pps_cap = nic_bps_ / wire_bits;
   if (total_pps >= wire_pps_cap) {
@@ -57,87 +56,6 @@ ThroughputResult ThroughputRunner::run(DeviceUnderTest& dut,
   result.mean_cycles_per_pkt = all.mean();
   result.fast_path_fraction =
       static_cast<double>(fast) / static_cast<double>(samples_);
-  return result;
-}
-
-QueueScalingResult QueueScalingRunner::run(
-    kern::Kernel& kernel, int ingress_ifindex, const PacketFactory& factory,
-    unsigned queues, const engine::SteeringConfig& steering) const {
-  LFP_CHECK(queues >= 1);
-  engine::EngineConfig cfg;
-  cfg.queues = queues;
-  cfg.backpressure = true;  // exact cycle means: no sample may tail-drop
-  cfg.steering = steering;
-  engine::Engine eng(kernel, ingress_ifindex, cfg);
-  eng.start();
-  for (std::uint64_t i = 0; i < samples_; ++i) eng.inject(factory(i));
-  eng.stop();
-
-  QueueScalingResult result;
-  result.queues = queues;
-  const double cpu_hz = kernel.cost().cpu_hz;
-  std::uint64_t fast_cycles_total = 0;
-  for (unsigned q = 0; q < queues; ++q) {
-    result.processed += eng.queue_stats(q).processed;
-    fast_cycles_total += eng.queue_stats(q).fast_cycles;
-  }
-  // Bottleneck model: RSS pins each flow to one queue, so spare workers
-  // cannot steal from a hot sibling. At offered rate R, queue q absorbs
-  // R * share_q; the first queue to hit its capacity throttles the system.
-  double fast_pps = 0;
-  bool any_queue = false;
-  for (unsigned q = 0; q < queues; ++q) {
-    const engine::QueueStats& st = eng.queue_stats(q);
-    if (st.processed == 0) {
-      result.per_queue_pps.push_back(0);
-      result.per_queue_share.push_back(0);
-      continue;
-    }
-    double capacity = cpu_hz * static_cast<double>(st.processed) /
-                      static_cast<double>(st.fast_cycles);
-    double share = static_cast<double>(st.processed) /
-                   static_cast<double>(result.processed);
-    result.per_queue_pps.push_back(capacity);
-    result.per_queue_share.push_back(share);
-    double sustainable = capacity / share;
-    if (!any_queue || sustainable < fast_pps) fast_pps = sustainable;
-    any_queue = true;
-  }
-  if (!any_queue) fast_pps = 0;
-  result.slow_processed = eng.slow_stats().processed;
-  if (result.processed > 0) {
-    result.mean_fast_cycles = static_cast<double>(fast_cycles_total) /
-                              static_cast<double>(result.processed);
-    result.fast_path_fraction =
-        static_cast<double>(eng.total_fast_verdicts()) /
-        static_cast<double>(result.processed);
-  }
-
-  double total_pps = fast_pps;
-  if (result.slow_processed > 0 && eng.slow_stats().cycles > 0) {
-    result.mean_slow_cycles = static_cast<double>(eng.slow_stats().cycles) /
-                              static_cast<double>(result.slow_processed);
-    double slow_fraction = static_cast<double>(result.slow_processed) /
-                           static_cast<double>(result.processed);
-    // The single slow-path thread serializes its share of the traffic: at
-    // sustained rate R, it must absorb R * slow_fraction packets/s.
-    double slow_cap_pps = cpu_hz / result.mean_slow_cycles / slow_fraction;
-    if (total_pps >= slow_cap_pps) {
-      total_pps = slow_cap_pps;
-      result.slow_path_limited = true;
-    }
-  }
-
-  net::Packet probe = factory(0);
-  double wire_bits = static_cast<double>(probe.wire_size()) * 8.0;
-  double wire_pps_cap = nic_bps_ / wire_bits;
-  if (total_pps >= wire_pps_cap) {
-    total_pps = wire_pps_cap;
-    result.line_rate_limited = true;
-  }
-
-  result.total_pps = total_pps;
-  result.total_bps = total_pps * wire_bits;
   return result;
 }
 
@@ -157,6 +75,7 @@ ForwardingResult ForwardingRunner::run(kern::Kernel& kernel,
   cfg.backpressure = true;  // exact cycle means: no sample may drop
   cfg.tx = opts.tx;
   cfg.gro = opts.gro;
+  cfg.steering = opts.steering;
   engine::Engine eng(kernel, ingress_ifindex, cfg);
   eng.start();
   for (std::uint64_t i = 0; i < samples_; ++i) eng.inject(factory(i));
@@ -178,17 +97,22 @@ ForwardingResult ForwardingRunner::run(kern::Kernel& kernel,
     processed += eng.queue_stats(q).processed;
     fast_cycles_total += eng.queue_stats(q).fast_cycles;
   }
-  // Worker bottleneck, as in QueueScalingRunner: RSS pins flows, the hottest
-  // queue's capacity/share throttles the offered rate.
+  // Worker bottleneck: RSS pins flows, so spare workers cannot steal from a
+  // hot sibling; the hottest queue's capacity/share throttles the offered
+  // rate.
   double fast_pps = 0;
   bool any_queue = false;
   for (unsigned q = 0; q < opts.queues; ++q) {
     const engine::QueueStats& st = eng.queue_stats(q);
-    if (st.processed == 0) continue;
+    if (st.processed == 0) {
+      result.per_queue_share.push_back(0);
+      continue;
+    }
     double capacity = cpu_hz * static_cast<double>(st.processed) /
                       static_cast<double>(st.fast_cycles);
     double share = static_cast<double>(st.processed) /
                    static_cast<double>(processed);
+    result.per_queue_share.push_back(share);
     double sustainable = capacity / share;
     if (!any_queue || sustainable < fast_pps) fast_pps = sustainable;
     any_queue = true;

@@ -11,11 +11,16 @@
 // service core on the DUT (per the paper's single-core latency setup), and
 // measured per-direction service times with multiplicative jitter.
 //
-// QueueScalingRunner drives the real parallel engine (engine/engine.h):
-// packets flow through RSS -> per-queue workers -> slow-path funnel on actual
-// threads; aggregate throughput is then modeled from each queue's measured
-// fast-path cycle cost, capped by the single slow-path thread's capacity and
-// by line rate.
+// ForwardingRunner drives the real parallel engine (engine/engine.h):
+// packets flow through RSS (or adaptive steering) -> per-queue workers ->
+// TX rings and the slow-path funnel on actual threads; aggregate throughput
+// is then modeled from each queue's measured fast-path cycle cost, capped by
+// the single slow-path thread (stack + GRO + TX drain + doorbells) and by
+// line rate. Every charge it sums is a pure function of the packet stream,
+// so its results do not depend on how the host schedules the threads.
+//
+// ThroughputRunner stays beside it because it is the only runner for the
+// Polycube and VPP DeviceUnderTest baselines, which have no engine.
 #pragma once
 
 #include <cstdint>
@@ -47,52 +52,7 @@ class ThroughputRunner {
       : nic_bps_(nic_bps), samples_(samples) {}
 
   ThroughputResult run(DeviceUnderTest& dut, const PacketFactory& factory,
-                       int cores, std::size_t frame_len) const;
-
- private:
-  double nic_bps_;
-  std::uint64_t samples_;
-};
-
-struct QueueScalingResult {
-  unsigned queues = 0;
-  double total_pps = 0;
-  double total_bps = 0;            // wire bits/s including framing
-  bool line_rate_limited = false;
-  bool slow_path_limited = false;  // single slow thread was the bottleneck
-  std::vector<double> per_queue_pps;    // each queue's standalone capacity
-  std::vector<double> per_queue_share;  // fraction of traffic RSS steered to it
-  double mean_fast_cycles = 0;     // driver + XDP, averaged over all queues
-  double mean_slow_cycles = 0;     // stack cycles per slow-path packet
-  double fast_path_fraction = 0;   // verdict settled without the stack
-  std::uint64_t processed = 0;
-  std::uint64_t slow_processed = 0;
-};
-
-// Runs the engine's worker pool for real (threads, rings, per-CPU VMs) over
-// `samples` generated packets, then models sustained throughput from the
-// measured per-queue costs. RSS pins each flow to one queue, so at offered
-// rate R queue q absorbs R * share_q and saturates at capacity_q; the
-// system sustains
-//   R = min over queues of (capacity_q / share_q)
-// further capped by the single slow-path thread ((cpu_hz / mean slow
-// cycles) / slow fraction) and by line rate. Under uniform traffic this is
-// N x single-queue capacity (near-linear scaling); under Zipf skew the
-// elephant queue's share throttles R no matter how many workers idle.
-// Backpressure mode is used so every sample is processed and the cycle means
-// are exact — the drop regime is the tail-drop engine tests' concern.
-class QueueScalingRunner {
- public:
-  using PacketFactory = std::function<net::Packet(std::uint64_t index)>;
-
-  QueueScalingRunner(double nic_bps = 25e9, std::uint64_t samples = 4000)
-      : nic_bps_(nic_bps), samples_(samples) {}
-
-  // `steering` (default: all off) enables the engine's adaptive steering —
-  // the Zipf-recovery benchmark passes SteeringConfig::adaptive() here.
-  QueueScalingResult run(kern::Kernel& kernel, int ingress_ifindex,
-                         const PacketFactory& factory, unsigned queues,
-                         const engine::SteeringConfig& steering = {}) const;
+                       int cores) const;
 
  private:
   double nic_bps_;
@@ -103,6 +63,9 @@ struct ForwardingOptions {
   unsigned queues = 8;
   engine::TxConfig tx;   // burst=1 is the per-packet-doorbell leg
   engine::GroConfig gro;
+  // Adaptive steering (all off: static RSS); the Zipf-recovery benchmark
+  // passes SteeringConfig::adaptive().
+  engine::SteeringConfig steering;
 };
 
 struct ForwardingResult {
@@ -120,24 +83,30 @@ struct ForwardingResult {
   std::uint64_t doorbells = 0;
   std::uint64_t gro_coalesced = 0;
   std::uint64_t gro_superpackets = 0;
+  std::vector<double> per_queue_share;  // fraction of traffic steered to q
   double mean_fast_cycles = 0;      // worker-side driver + XDP per packet
   double slow_thread_cycles = 0;    // stack + GRO + TX drain, per injected
   double fast_path_fraction = 0;
   std::uint64_t slow_processed = 0;  // wire packets through the stack
 };
 
-// The closed-loop forwarding harness (DESIGN.md §16): drives the full
+// The closed-loop forwarding harness (DESIGN.md §11, §16): drives the full
 // RX engine -> fast path -> TX engine pipeline on real threads — packets in
 // at eth0, frames out at a physical egress — then models sustained
-// throughput from the measured per-thread cycle budgets:
+// throughput from the measured per-thread cycle budgets. RSS pins each flow
+// to one queue, so at offered rate R queue q absorbs R * share_q and
+// saturates at capacity_q:
 //   R = min over queues of (worker capacity_q / share_q),
 //       capped by the slow thread, which serializes the stack traversal of
 //       kPass traffic AND the TX-ring drains/doorbells of fast-path egress:
 //       slow_cap = cpu_hz * packets_in / slow_thread_cycles_total,
 //       and by line rate on the probe's wire size.
-// Unlike QueueScalingRunner this makes TX cost visible: at burst=1 every
-// packet pays the doorbell MMIO on the TX drain thread; at burst=64 the
-// doorbell amortizes and the bottleneck moves back to the workers.
+// Under uniform traffic this is N x single-queue capacity; under Zipf skew
+// the elephant queue's share throttles R no matter how many workers idle.
+// At tx.burst=1 every packet pays the doorbell MMIO on the slow thread; at
+// burst=64 the doorbell amortizes and the bottleneck moves back to the
+// workers. Backpressure mode is used so every sample is processed and the
+// cycle means are exact.
 class ForwardingRunner {
  public:
   using PacketFactory = std::function<net::Packet(std::uint64_t index)>;

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "ebpf/loader.h"
@@ -311,6 +314,42 @@ TEST(Steering, EngineAdaptiveSteeringSpreadsZipfSkewLosslessly) {
   EXPECT_EQ(dut.kernel.metrics().value("engine.steering.decisions"), kPackets);
   EXPECT_EQ(dut.kernel.metrics().value("engine.steering.adapt_passes"),
             ss.adapt_passes);
+}
+
+TEST(Steering, StalledQueueLeavesSteeringDecisionsUnchanged) {
+  // Adaptation weighs only the packets the producer steered, never how far
+  // a worker has fallen behind: a run whose queue 0 stalls on every poll
+  // ends with the same steering stats and RETA as an unstalled run.
+  auto run = [](bool stall_queue0) {
+    RouterDut dut;
+    dut.add_prefixes(8);
+    EngineConfig cfg;
+    cfg.queues = 8;
+    cfg.backpressure = true;
+    cfg.steering = SteeringConfig::adaptive();
+    cfg.steering.interval = 512;
+    if (stall_queue0) {
+      cfg.worker_poll_hook = [](unsigned q) {
+        if (q == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      };
+    }
+    Engine eng(dut.kernel, dut.eth0_ifindex(), cfg);
+    sim::FlowPattern pattern(8, 256, 64, /*zipf_s=*/1.2);
+    eng.start();
+    constexpr std::uint64_t kPackets = 6000;
+    for (std::uint64_t i = 0; i < kPackets; ++i) {
+      auto [prefix, flow] = pattern.at(i);
+      eng.inject(dut.packet_to_prefix(prefix, flow));
+    }
+    eng.stop();
+    EXPECT_EQ(eng.total_processed(), kPackets);
+    return std::make_pair(eng.steerer()->stats(), eng.rss().reta());
+  };
+  const auto steady = run(false);
+  const auto stalled = run(true);
+  EXPECT_GT(steady.first.rebalances, 0u);
+  EXPECT_TRUE(stalled.first == steady.first);
+  EXPECT_EQ(stalled.second, steady.second);
 }
 
 // --- flowcache migration coherence ---------------------------------------------

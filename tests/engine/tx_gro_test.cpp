@@ -13,9 +13,11 @@
 //    with a trace record — never silent.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/status.h"
@@ -360,9 +362,14 @@ TEST(TxEngineTest, DoorbellCoalescingChargesOncePerBurst) {
   EXPECT_TRUE(tx.all_empty());
 
   // One descriptor write per packet; the doorbell rings at the burst
-  // watermark (x2) and once more when the final short round closes.
+  // watermark only (x2). The end of a short round rings nothing: the two
+  // leftover descriptors wait for the stop-time flush.
   EXPECT_EQ(tx.descriptors(), 10u);
+  EXPECT_EQ(tx.doorbells(), 2u);
+  EXPECT_EQ(tx.flush_cycles(), 0u);
+  EXPECT_EQ(tx.flush_doorbells(), dut.kernel.cost().tx_doorbell);
   EXPECT_EQ(tx.doorbells(), 3u);
+  EXPECT_EQ(tx.flush_cycles(), dut.kernel.cost().tx_doorbell);
   const TxQueueStats& st = tx.queue_stats(0);
   EXPECT_EQ(st.transmitted, 10u);
   EXPECT_EQ(st.tx_bytes, 10u * 64u);
@@ -390,6 +397,88 @@ TEST(TxEngineTest, BurstOfOneRingsEveryPacket) {
   EXPECT_EQ(tx.descriptors(), 10u);
   EXPECT_EQ(tx.doorbells(), 10u);  // the pre-xmit_more driver
   dut.kernel.set_tx_batcher(nullptr);
+}
+
+// What a closed-loop run charged for transmit, summed over the run.
+struct TxCharges {
+  std::uint64_t sent = 0;  // frames that left a physical device
+  std::uint64_t expected_doorbells = 0;  // sum of ceil(sent_dev / burst)
+  std::uint64_t descriptors = 0;
+  std::uint64_t doorbells = 0;
+  std::uint64_t slow_processed = 0;
+  std::uint64_t slow_cycles = 0;  // the stack's cycles
+  std::uint64_t tx_cycles = 0;    // TX-ring drains + doorbells outside them
+
+  bool operator==(const TxCharges&) const = default;
+};
+
+// The gateway (XDP filter + router) forwarding 64 B UDP; every 4th packet is
+// a first fragment, which XDP punts and the stack forwards, so inline
+// slow-path transmits share eth1's doorbell window with TX-ring drains.
+// `slow_workers` slows every worker poll to one packet, leaving the slow
+// thread idle between packets.
+TxCharges run_mixed_egress(bool slow_workers) {
+  sim::ScenarioConfig cfg;
+  cfg.prefixes = 8;
+  cfg.filter_rules = 16;
+  cfg.accel = sim::Accel::kLinuxFpXdp;
+  cfg.tx.burst = 16;
+  sim::LinuxTestbed bed(cfg);
+  std::map<int, std::uint64_t> tx_before;
+  for (kern::NetDevice* d : bed.kernel().devices()) {
+    tx_before[d->ifindex()] = d->stats().tx_packets;
+  }
+
+  EngineConfig ecfg = bed.engine_config(2);
+  if (slow_workers) {
+    ecfg.napi_budget = 1;
+    ecfg.worker_poll_hook = [](unsigned) {
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    };
+  }
+  Engine eng(bed.kernel(), bed.ingress_ifindex(), ecfg);
+  eng.start();
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    net::Packet pkt = bed.forward_packet(
+        static_cast<int>(i % 8), static_cast<std::uint16_t>(i % 32), 64);
+    if (i % 4 == 3) {
+      net::Ipv4View ip(pkt.data() + net::kEthHdrLen);
+      ip.set_frag_field(0x2000);  // first fragment: MF set, offset 0
+      ip.update_checksum();
+    }
+    eng.inject(std::move(pkt));
+  }
+  eng.stop();
+
+  TxCharges c;
+  for (kern::NetDevice* d : bed.kernel().devices()) {
+    if (d->kind() != kern::DevKind::kPhysical) continue;
+    const std::uint64_t n = d->stats().tx_packets - tx_before[d->ifindex()];
+    c.sent += n;
+    c.expected_doorbells += (n + cfg.tx.burst - 1) / cfg.tx.burst;
+  }
+  c.descriptors = eng.tx().descriptors();
+  c.doorbells = eng.tx().doorbells();
+  c.slow_processed = eng.slow_stats().processed;
+  c.slow_cycles = eng.slow_stats().cycles;
+  c.tx_cycles = eng.tx().flush_cycles();
+  for (unsigned q = 0; q < 2; ++q) {
+    c.tx_cycles += eng.tx().queue_stats(q).cycles;
+  }
+  return c;
+}
+
+TEST(TxEngineTest, IdleSlowThreadRingsOnlyAtTheWatermark) {
+  // When the slow thread idles, and how its inline transmits interleave
+  // with TX-ring drains, is host scheduling. Neither may change a charge:
+  // each egress device rings once per `burst` descriptors plus once at stop
+  // for its remainder, and the slowed run's cycles equal the unslowed run's.
+  const TxCharges slowed = run_mixed_egress(true);
+  EXPECT_EQ(slowed.sent, 300u);
+  EXPECT_EQ(slowed.slow_processed, 75u);
+  EXPECT_EQ(slowed.descriptors, slowed.sent);
+  EXPECT_EQ(slowed.doorbells, slowed.expected_doorbells);
+  EXPECT_TRUE(run_mixed_egress(false) == slowed);
 }
 
 TEST(TxEngineTest, GhostIfindexCountsNoDeviceWithTraceRecord) {

@@ -63,8 +63,8 @@ TEST(ThroughputRunner, ScalesWithCores) {
     auto [prefix, flow] = pattern.at(i);
     return dut.forward_packet(prefix, flow);
   };
-  auto one = runner.run(dut, factory, 1, 64);
-  auto four = runner.run(dut, factory, 4, 64);
+  auto one = runner.run(dut, factory, 1);
+  auto four = runner.run(dut, factory, 4);
   EXPECT_GT(one.total_pps, 0.5e6);
   EXPECT_GT(four.total_pps, one.total_pps * 3.2);
   EXPECT_LT(four.total_pps, one.total_pps * 4.8);
@@ -83,7 +83,7 @@ TEST(ThroughputRunner, LinuxFpBeatsLinux) {
                  auto [p, f] = pattern.at(i);
                  return linux_dut.forward_packet(p, f);
                },
-               1, 64)
+               1)
           .total_pps;
   auto lfp_pps =
       runner
@@ -92,7 +92,7 @@ TEST(ThroughputRunner, LinuxFpBeatsLinux) {
                  auto [p, f] = pattern.at(i);
                  return lfp_dut.forward_packet(p, f);
                },
-               1, 64)
+               1)
           .total_pps;
   // The headline claim: 77% improvement (accept 50-100%).
   EXPECT_GT(lfp_pps, linux_pps * 1.5);
@@ -104,7 +104,7 @@ TEST(ThroughputRunner, LineRateCapAt1500B) {
   ThroughputRunner runner(25e9, 1500);
   auto result = runner.run(
       dut, [&](std::uint64_t i) { return dut.forward_packet(0, i % 64, 1500); },
-      /*cores=*/8, 1500);
+      /*cores=*/8);
   EXPECT_TRUE(result.line_rate_limited);
   EXPECT_NEAR(result.total_bps, 25e9, 1e6);
 }

@@ -71,6 +71,18 @@ echo "=== bench smoke: BENCH_*.json emission ==="
  test -s BENCH_ruleset.json &&
  ./bench_table6_reaction --smoke >/dev/null &&
  test -s BENCH_reaction.json)
+# Determinism: the threaded benches charge no host-timed cost (DESIGN.md
+# §15, §16), so a second smoke run must reproduce their JSON byte for byte.
+echo "=== bench smoke: threaded bench reruns are byte-identical ==="
+(cd build/bench &&
+ rm -rf first_run && mkdir first_run &&
+ cp BENCH_forwarding.json BENCH_scaling_queues.json BENCH_steering.json \
+   first_run/ &&
+ ./bench_forwarding --smoke >/dev/null &&
+ ./bench_scaling_queues --smoke >/dev/null &&
+ cmp first_run/BENCH_forwarding.json BENCH_forwarding.json &&
+ cmp first_run/BENCH_scaling_queues.json BENCH_scaling_queues.json &&
+ cmp first_run/BENCH_steering.json BENCH_steering.json)
 # The flowcache bench's headline fields must be present and sane: a real
 # hit rate and the >= 1.5x steady-state speedup the cache exists for.
 python3 - <<'EOF'
