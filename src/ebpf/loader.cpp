@@ -9,9 +9,28 @@ namespace linuxfp::ebpf {
 Attachment::Attachment(std::string name, HookType hook, kern::Kernel& kernel,
                        const HelperRegistry& helpers)
     : name_(std::move(name)), hook_(hook), kernel_(kernel), helpers_(helpers) {
-  vms_.push_back(
-      std::make_unique<Vm>(kernel_.cost(), helpers_, maps_, &programs_));
-  cpu_stats_.resize(1);
+  prepare_cpus(1);
+}
+
+std::string Attachment::metrics_prefix() const {
+  return "fastpath." + name_ + "." + hook_type_name(hook_) + ".";
+}
+
+void Attachment::CpuSlot::bind(util::MetricsRegistry* registry,
+                               const std::string& prefix) {
+  shards.bind(registry);
+  if (!registry) {
+    runs = cycles = nullptr;
+    for (auto& v : verdicts) v = nullptr;
+    return;
+  }
+  runs = shards.shard(prefix + "runs");
+  cycles = shards.shard(prefix + "cycles");
+  const char* verdict_names[6] = {"pass",     "drop",         "tx",
+                                  "redirect", "to_userspace", "aborted"};
+  for (int i = 0; i < 6; ++i) {
+    verdicts[i] = shards.shard(prefix + verdict_names[i]);
+  }
 }
 
 void Attachment::prepare_cpus(unsigned n) {
@@ -21,15 +40,11 @@ void Attachment::prepare_cpus(unsigned n) {
     vm->set_cpu(static_cast<unsigned>(vms_.size()));
     vm->set_metrics(metrics_registry_);
     vms_.push_back(std::move(vm));
+    auto slot = std::make_unique<CpuSlot>();
+    slot->bind(metrics_registry_, metrics_prefix());
+    cpu_slots_.push_back(std::move(slot));
   }
-  if (cpu_stats_.size() < vms_.size()) cpu_stats_.resize(vms_.size());
-  if (flow_cache_on_) {
-    while (flow_caches_.size() < vms_.size()) {
-      auto fc = std::make_unique<engine::FlowCache>();
-      fc->set_metrics(fc_metrics_);
-      flow_caches_.push_back(std::move(fc));
-    }
-  }
+  set_flow_cache(flow_cache_on_);
 }
 
 void Attachment::set_flow_cache(bool on) {
@@ -40,7 +55,7 @@ void Attachment::set_flow_cache(bool on) {
   }
   while (flow_caches_.size() < vms_.size()) {
     auto fc = std::make_unique<engine::FlowCache>();
-    fc->set_metrics(fc_metrics_);
+    fc->set_metrics(metrics_registry_);
     flow_caches_.push_back(std::move(fc));
   }
 }
@@ -53,8 +68,8 @@ engine::FlowCacheStats Attachment::flow_cache_stats() const {
 
 AttachmentStats Attachment::stats() const {
   AttachmentStats total;
-  for (const CpuStats& shard : cpu_stats_) {
-    const AttachmentStats& s = shard.s;
+  for (const auto& slot : cpu_slots_) {
+    const AttachmentStats& s = slot->s;
     total.runs += s.runs;
     total.pass += s.pass;
     total.drop += s.drop;
@@ -193,30 +208,13 @@ std::uint32_t Attachment::register_xsk(AfXdpSocket* socket) {
 
 void Attachment::set_metrics(util::MetricsRegistry* registry) {
   metrics_registry_ = registry;
+  // The flowcache.* names are listed whether or not the cache is on, so the
+  // registry's name set does not depend on that setting.
+  if (registry) engine::FlowCache::declare_metrics(*registry);
+  const std::string prefix = metrics_prefix();
   for (auto& vm : vms_) vm->set_metrics(registry);
-  if (!registry) {
-    m_runs_ = m_cycles_ = nullptr;
-    for (auto& v : m_verdicts_) v = nullptr;
-    fc_metrics_ = engine::FlowCacheMetrics{};
-    for (auto& fc : flow_caches_) fc->set_metrics(fc_metrics_);
-    return;
-  }
-  std::string prefix = "fastpath." + name_ + "." + hook_type_name(hook_) + ".";
-  m_runs_ = registry->counter(prefix + "runs");
-  m_cycles_ = registry->counter(prefix + "cycles");
-  const char* verdict_names[6] = {"pass",      "drop",    "tx",
-                                  "redirect",  "to_userspace", "aborted"};
-  for (int i = 0; i < 6; ++i) {
-    m_verdicts_[i] = registry->counter(prefix + verdict_names[i]);
-  }
-  fc_metrics_.registry = registry;
-  fc_metrics_.hits = registry->counter("flowcache.hits");
-  fc_metrics_.misses = registry->counter("flowcache.misses");
-  fc_metrics_.invalidations = registry->counter("flowcache.invalidations");
-  fc_metrics_.evictions = registry->counter("flowcache.evictions");
-  fc_metrics_.uncacheable = registry->counter("flowcache.uncacheable");
-  fc_metrics_.replay_mismatch = registry->counter("flowcache.replay_mismatch");
-  for (auto& fc : flow_caches_) fc->set_metrics(fc_metrics_);
+  for (auto& slot : cpu_slots_) slot->bind(registry, prefix);
+  for (auto& fc : flow_caches_) fc->set_metrics(registry);
 }
 
 Attachment::RunResult Attachment::run(net::Packet& pkt, int ingress_ifindex) {
@@ -224,7 +222,8 @@ Attachment::RunResult Attachment::run(net::Packet& pkt, int ingress_ifindex) {
 }
 
 Attachment::RunResult Attachment::finish_cache_hit(
-    const engine::FlowCache::Hit& hit, AttachmentStats& sh) {
+    const engine::FlowCache::Hit& hit, CpuSlot& slot) {
+  AttachmentStats& sh = slot.s;
   RunResult out;
   std::uint64_t cycles = kernel_.cost().flowcache_hit;
   ++sh.runs;
@@ -249,11 +248,7 @@ Attachment::RunResult Attachment::finish_cache_hit(
       out.verdict = Verdict::kPass;
       break;
   }
-  if (metrics_on()) {
-    util::bump(m_runs_);
-    util::bump(m_cycles_, cycles);
-    util::bump(m_verdicts_[static_cast<int>(out.verdict)]);
-  }
+  slot.meter(out.verdict, cycles);
   if (auto* t = util::active_packet_trace()) {
     t->add("ebpf", "flowcache_hit", cycles, action_name(hit.act));
   }
@@ -264,7 +259,8 @@ Attachment::RunResult Attachment::run_on_cpu(net::Packet& pkt,
                                              int ingress_ifindex,
                                              unsigned cpu) {
   LFP_CHECK_MSG(cpu < vms_.size(), "run_on_cpu without prepare_cpus");
-  AttachmentStats& sh = cpu_stats_[cpu].s;
+  CpuSlot& slot = *cpu_slots_[cpu];
+  AttachmentStats& sh = slot.s;
   RunResult out;
   if (!has_entry_) {
     out.verdict = Verdict::kPass;
@@ -276,7 +272,7 @@ Attachment::RunResult Attachment::run_on_cpu(net::Packet& pkt,
   if (fc) {
     engine::FlowCache::Hit hit;
     if (fc->try_hit(pkt, ingress_ifindex, flow_epoch(), kernel_, &hit)) {
-      return finish_cache_hit(hit, sh);
+      return finish_cache_hit(hit, slot);
     }
   }
   if (auto* t = util::active_packet_trace()) {
@@ -302,14 +298,10 @@ Attachment::RunResult Attachment::run_on_cpu(net::Packet& pkt,
   ++sh.runs;
   sh.total_cycles += r.cycles;
   sh.total_insns += r.insns_executed;
-  if (metrics_on()) {
-    util::bump(m_runs_);
-    util::bump(m_cycles_, r.cycles);
-  }
   out.cycles = r.cycles;
   if (r.aborted) {
     ++sh.aborted;
-    if (metrics_on()) util::bump(m_verdicts_[static_cast<int>(Verdict::kAborted)]);
+    slot.meter(Verdict::kAborted, r.cycles);
     out.verdict = Verdict::kAborted;
     LFP_WARN("ebpf") << name_ << " aborted: " << r.error;
     return out;
@@ -350,7 +342,7 @@ Attachment::RunResult Attachment::run_on_cpu(net::Packet& pkt,
       out.verdict = Verdict::kAborted;
       break;
   }
-  if (metrics_on()) util::bump(m_verdicts_[static_cast<int>(out.verdict)]);
+  slot.meter(out.verdict, r.cycles);
   return out;
 }
 

@@ -134,15 +134,27 @@ class Attachment : public kern::PacketProgram {
   }
 
  private:
-  bool metrics_on() const {
-    return metrics_registry_ != nullptr && metrics_registry_->enabled();
-  }
-
-  // One stats shard per CPU, cache-line padded so concurrent workers never
-  // false-share; stats() sums the shards.
-  struct alignas(64) CpuStats {
+  // One slot per CPU: its stats shard plus its "fastpath.<name>.<hook>.*"
+  // counter shards, whose only writer is that CPU's worker. Slots are
+  // cache-line padded so concurrent workers never false-share; stats() sums
+  // them.
+  struct alignas(64) CpuSlot {
     AttachmentStats s;
+    util::ShardSet shards;
+    util::CounterShard* runs = nullptr;
+    util::CounterShard* cycles = nullptr;
+    util::CounterShard* verdicts[6] = {};  // indexed by Verdict
+
+    void bind(util::MetricsRegistry* registry, const std::string& prefix);
+    // Mirrors one run into the registry when metrics are on.
+    void meter(Verdict verdict, std::uint64_t run_cycles) {
+      if (!shards.on()) return;
+      runs->add();
+      cycles->add(run_cycles);
+      verdicts[static_cast<int>(verdict)]->add();
+    }
   };
+  std::string metrics_prefix() const;
 
   std::string name_;
   HookType hook_;
@@ -154,13 +166,13 @@ class Attachment : public kern::PacketProgram {
   // map set and program table, private run state. Index 0 is the slow-path /
   // single-queue VM.
   std::vector<std::unique_ptr<Vm>> vms_;
-  std::vector<CpuStats> cpu_stats_;
+  std::vector<std::unique_ptr<CpuSlot>> cpu_slots_;
   void bump_flow_epoch() {
     flow_epoch_.fetch_add(1, std::memory_order_relaxed);
   }
   // Serves a probe-hit: verdict mapping, stats, metrics, trace event.
   RunResult finish_cache_hit(const engine::FlowCache::Hit& hit,
-                             AttachmentStats& sh);
+                             CpuSlot& slot);
 
   bool dispatcher_enabled_ = false;
   std::uint32_t prog_array_id_ = 0;
@@ -173,12 +185,10 @@ class Attachment : public kern::PacketProgram {
   bool flow_cache_on_ = false;
   std::vector<std::unique_ptr<engine::FlowCache>> flow_caches_;
   std::atomic<std::uint64_t> flow_epoch_{0};
-  engine::FlowCacheMetrics fc_metrics_;
 
+  // Registry the per-CPU VMs, slots and caches bind their shards to; new
+  // CPUs (prepare_cpus) and caches (set_flow_cache) bind on creation.
   util::MetricsRegistry* metrics_registry_ = nullptr;
-  util::Counter* m_runs_ = nullptr;
-  util::Counter* m_cycles_ = nullptr;
-  util::Counter* m_verdicts_[6] = {};  // indexed by Verdict
 };
 
 // Attach/detach convenience wrappers (libbpf-style API). The program is any

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -99,6 +98,11 @@ class HelperContext {
 
   Map* map(std::uint32_t map_id);
 
+  // Reports a bpf_fib_lookup outcome through the running VM's own counter
+  // shards ("fib.lookups" / "fib.depth_total"): the helper runs on engine
+  // workers, which must not write the kernel's slow-path shards.
+  void note_fib_lookup(bool hit, std::size_t depth);
+
   // Wraps raw storage (a map value) into a tagged pointer valid for the rest
   // of this program run.
   std::uint64_t make_map_value_ptr(std::uint8_t* base, std::size_t size);
@@ -126,15 +130,23 @@ struct Helper {
   HelperFn fn;
 };
 
+// Helpers by id. find() is the interpreter's per-call dispatch, so it is a
+// dense index (id -> position + 1, 0 = none) over helpers sorted by id.
+// Positions rather than pointers make the registry safe to copy by value.
 class HelperRegistry {
  public:
   void register_helper(std::uint32_t id, std::string name, HelperFn fn);
-  const Helper* find(std::uint32_t id) const;
+  const Helper* find(std::uint32_t id) const {
+    return id < index_.size() && index_[id] != 0 ? &helpers_[index_[id] - 1]
+                                                 : nullptr;
+  }
   bool supports(std::uint32_t id) const { return find(id) != nullptr; }
+  // Registered ids in ascending order.
   std::vector<std::uint32_t> ids() const;
 
  private:
-  std::map<std::uint32_t, Helper> helpers_;
+  std::vector<Helper> helpers_;        // sorted by id
+  std::vector<std::uint32_t> index_;   // by id
 };
 
 // A set of maps shared by the programs of one attachment (prog array,

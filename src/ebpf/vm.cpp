@@ -1,6 +1,8 @@
 #include "ebpf/vm.h"
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "engine/flowcache.h"
 #include "util/logging.h"
@@ -67,48 +69,65 @@ const char* action_name(std::uint64_t ret) {
 }
 
 void Vm::set_metrics(util::MetricsRegistry* registry) {
-  metrics_ = registry;
+  shards_.bind(registry);
   helper_counters_.clear();
   if (!registry) {
     map_hits_ = map_misses_ = tail_call_counter_ = nullptr;
+    fib_lookups_ = fib_depth_total_ = nullptr;
     return;
   }
-  map_hits_ = registry->counter("ebpf.map.hits");
-  map_misses_ = registry->counter("ebpf.map.misses");
-  tail_call_counter_ = registry->counter("ebpf.tail_calls");
-  // Resolve every registered helper's counter now: counter creation mutates
+  map_hits_ = shards_.shard("ebpf.map.hits");
+  map_misses_ = shards_.shard("ebpf.map.misses");
+  tail_call_counter_ = shards_.shard("ebpf.tail_calls");
+  fib_lookups_ = shards_.shard("fib.lookups");
+  fib_depth_total_ = shards_.shard("fib.depth_total");
+  // Resolve every registered helper's shard now: shard creation mutates
   // the registry and is only safe on the control plane, while run() may
   // execute on an engine worker thread.
   for (std::uint32_t id : helpers_.ids()) helper_counter(id);
 }
 
-util::Counter* Vm::helper_counter(std::uint32_t helper_id) {
+util::CounterShard* Vm::helper_counter(std::uint32_t helper_id) {
   if (helper_counters_.size() <= helper_id) {
     helper_counters_.resize(helper_id + 1, nullptr);
   }
-  util::Counter*& slot = helper_counters_[helper_id];
+  util::CounterShard*& slot = helper_counters_[helper_id];
   if (!slot) {
-    slot = metrics_->counter(std::string("ebpf.helper.") +
-                             helper_name(helper_id) + ".calls");
+    slot = shards_.shard(std::string("ebpf.helper.") +
+                         helper_name(helper_id) + ".calls");
   }
   return slot;
+}
+
+void Vm::note_fib_lookup(bool hit, std::size_t depth) {
+  if (!shards_.on()) return;
+  fib_lookups_->add();
+  if (hit) fib_depth_total_->add(depth);
 }
 
 // --- HelperRegistry / MapSet --------------------------------------------------
 
 void HelperRegistry::register_helper(std::uint32_t id, std::string name,
                                      HelperFn fn) {
-  helpers_[id] = Helper{id, std::move(name), std::move(fn)};
-}
-
-const Helper* HelperRegistry::find(std::uint32_t id) const {
-  auto it = helpers_.find(id);
-  return it == helpers_.end() ? nullptr : &it->second;
+  if (index_.size() <= id) index_.resize(id + 1, 0);
+  if (index_[id] != 0) {
+    helpers_[index_[id] - 1] = Helper{id, std::move(name), std::move(fn)};
+    return;
+  }
+  // Keep helpers_ sorted by id so ids() lists them in order.
+  auto pos = std::lower_bound(
+      helpers_.begin(), helpers_.end(), id,
+      [](const Helper& h, std::uint32_t key) { return h.id < key; });
+  helpers_.insert(pos, Helper{id, std::move(name), std::move(fn)});
+  for (std::size_t i = 0; i < helpers_.size(); ++i) {
+    index_[helpers_[i].id] = static_cast<std::uint32_t>(i + 1);
+  }
 }
 
 std::vector<std::uint32_t> HelperRegistry::ids() const {
   std::vector<std::uint32_t> out;
-  for (const auto& [id, h] : helpers_) out.push_back(id);
+  out.reserve(helpers_.size());
+  for (const Helper& h : helpers_) out.push_back(h.id);
   return out;
 }
 
@@ -178,6 +197,10 @@ void HelperContext::set_redirect_xsk(int slot) {
 }
 
 Map* HelperContext::map(std::uint32_t map_id) { return vm_.maps_.get(map_id); }
+
+void HelperContext::note_fib_lookup(bool hit, std::size_t depth) {
+  vm_.note_fib_lookup(hit, depth);
+}
 
 unsigned HelperContext::cpu() const { return vm_.cpu(); }
 
@@ -296,6 +319,18 @@ void store_sized(std::uint8_t* p, MemSize size, std::uint64_t v) {
   }
 }
 
+// Operands of a conditional jump. Pointer comparisons compare payloads
+// within the same region (the data_end bounds-check pattern).
+std::pair<std::uint64_t, std::uint64_t> jump_operands(std::uint64_t a,
+                                                      std::uint64_t b,
+                                                      bool use_imm) {
+  if (ptr_region(a) != Region::kNone && !use_imm &&
+      ptr_region(b) == ptr_region(a)) {
+    return {ptr_payload(a), ptr_payload(b)};
+  }
+  return {a, b};
+}
+
 // Adds a displacement to a tagged pointer (regions propagate through
 // pointer arithmetic, as in eBPF).
 std::uint64_t ptr_add(std::uint64_t tagged, std::int64_t delta) {
@@ -338,10 +373,12 @@ VmResult Vm::run(const Program& entry_prog, net::Packet& pkt,
 
   HelperContext hctx(*this, &pkt, kernel, ingress_ifindex);
 
-  return interpret(entry_prog, hctx);
+  // The active trace is per thread and cannot change inside a run.
+  return interpret(entry_prog, hctx, util::active_packet_trace());
 }
 
-VmResult Vm::interpret(const Program& entry_prog, HelperContext& hctx) {
+VmResult Vm::interpret(const Program& entry_prog, HelperContext& hctx,
+                       util::PacketTrace* trace) {
   VmResult result;
   RunState& state = *state_;
   engine::FlowCacheRecorder* recorder = state.recorder;
@@ -363,6 +400,12 @@ VmResult Vm::interpret(const Program& entry_prog, HelperContext& hctx) {
     result.cycles = executed * cost_.bpf_insn + state.extra_cycles;
     return result;
   };
+  // Cold path of a failed resolve(): translate() rebuilds the same verdict
+  // with its error message.
+  auto fault = [&](std::uint64_t addr, std::size_t len) {
+    return fail(translate(addr, len).error().message);
+  };
+  const bool metered = shards_.on();
 
   while (true) {
     if (pc >= prog_size) {
@@ -446,73 +489,79 @@ VmResult Vm::interpret(const Program& entry_prog, HelperContext& hctx) {
         break;
       }
       case Op::kLdx: {
-        std::uint64_t addr = ptr_add(regs[insn.src], insn.off);
-        auto mem = translate(addr, static_cast<std::size_t>(insn.size));
-        if (!mem.ok()) return fail(mem.error().message);
+        const std::uint64_t addr = ptr_add(regs[insn.src], insn.off);
+        const auto len = static_cast<std::size_t>(insn.size);
+        const std::uint8_t* mem = resolve(addr, len);
+        if (!mem) return fault(addr, len);
         if (recorder && ptr_region(addr) == Region::kPacket) {
-          recorder->note_packet_read(ptr_payload(addr),
-                                     static_cast<std::size_t>(insn.size));
+          recorder->note_packet_read(ptr_payload(addr), len);
         }
-        regs[insn.dst] = load_sized(mem.value(), insn.size);
+        regs[insn.dst] = load_sized(mem, insn.size);
         ++pc;
         break;
       }
       case Op::kStx: {
-        std::uint64_t addr = ptr_add(regs[insn.dst], insn.off);
-        auto mem = translate(addr, static_cast<std::size_t>(insn.size));
-        if (!mem.ok()) return fail(mem.error().message);
+        const std::uint64_t addr = ptr_add(regs[insn.dst], insn.off);
+        const auto len = static_cast<std::size_t>(insn.size);
+        std::uint8_t* mem = resolve(addr, len);
+        if (!mem) return fault(addr, len);
         if (recorder && ptr_region(addr) == Region::kPacket) {
-          recorder->note_packet_write(ptr_payload(addr),
-                                      static_cast<std::size_t>(insn.size));
+          recorder->note_packet_write(ptr_payload(addr), len);
         }
-        store_sized(mem.value(), insn.size, regs[insn.src]);
+        store_sized(mem, insn.size, regs[insn.src]);
         ++pc;
         break;
       }
       case Op::kSt: {
-        std::uint64_t addr = ptr_add(regs[insn.dst], insn.off);
-        auto mem = translate(addr, static_cast<std::size_t>(insn.size));
-        if (!mem.ok()) return fail(mem.error().message);
+        const std::uint64_t addr = ptr_add(regs[insn.dst], insn.off);
+        const auto len = static_cast<std::size_t>(insn.size);
+        std::uint8_t* mem = resolve(addr, len);
+        if (!mem) return fault(addr, len);
         if (recorder && ptr_region(addr) == Region::kPacket) {
-          recorder->note_packet_write(ptr_payload(addr),
-                                      static_cast<std::size_t>(insn.size));
+          recorder->note_packet_write(ptr_payload(addr), len);
         }
-        store_sized(mem.value(), insn.size,
-                    static_cast<std::uint64_t>(insn.imm));
+        store_sized(mem, insn.size, static_cast<std::uint64_t>(insn.imm));
         ++pc;
         break;
       }
       case Op::kJa:
         pc = insn.jump_target;
         break;
-      case Op::kJeq:
-      case Op::kJne:
-      case Op::kJgt:
-      case Op::kJge:
-      case Op::kJlt:
-      case Op::kJle:
+      // One case per condition, so a conditional jump costs a single
+      // dispatch.
+      case Op::kJeq: {
+        auto [a, b] = jump_operands(regs[insn.dst], src_val, insn.use_imm);
+        pc = a == b ? insn.jump_target : pc + 1;
+        break;
+      }
+      case Op::kJne: {
+        auto [a, b] = jump_operands(regs[insn.dst], src_val, insn.use_imm);
+        pc = a != b ? insn.jump_target : pc + 1;
+        break;
+      }
+      case Op::kJgt: {
+        auto [a, b] = jump_operands(regs[insn.dst], src_val, insn.use_imm);
+        pc = a > b ? insn.jump_target : pc + 1;
+        break;
+      }
+      case Op::kJge: {
+        auto [a, b] = jump_operands(regs[insn.dst], src_val, insn.use_imm);
+        pc = a >= b ? insn.jump_target : pc + 1;
+        break;
+      }
+      case Op::kJlt: {
+        auto [a, b] = jump_operands(regs[insn.dst], src_val, insn.use_imm);
+        pc = a < b ? insn.jump_target : pc + 1;
+        break;
+      }
+      case Op::kJle: {
+        auto [a, b] = jump_operands(regs[insn.dst], src_val, insn.use_imm);
+        pc = a <= b ? insn.jump_target : pc + 1;
+        break;
+      }
       case Op::kJset: {
-        std::uint64_t a = regs[insn.dst];
-        std::uint64_t b = src_val;
-        // Pointer comparisons compare payloads within the same region (the
-        // data_end bounds-check pattern).
-        if (ptr_region(a) != Region::kNone && !insn.use_imm &&
-            ptr_region(b) == ptr_region(a)) {
-          a = ptr_payload(a);
-          b = ptr_payload(b);
-        }
-        bool take = false;
-        switch (insn.op) {
-          case Op::kJeq: take = a == b; break;
-          case Op::kJne: take = a != b; break;
-          case Op::kJgt: take = a > b; break;
-          case Op::kJge: take = a >= b; break;
-          case Op::kJlt: take = a < b; break;
-          case Op::kJle: take = a <= b; break;
-          case Op::kJset: take = (a & b) != 0; break;
-          default: break;
-        }
-        pc = take ? insn.jump_target : pc + 1;
+        auto [a, b] = jump_operands(regs[insn.dst], src_val, insn.use_imm);
+        pc = (a & b) != 0 ? insn.jump_target : pc + 1;
         break;
       }
       case Op::kCall: {
@@ -537,9 +586,9 @@ VmResult Vm::interpret(const Program& entry_prog, HelperContext& hctx) {
           }
           ++result.tail_calls;
           state.extra_cycles += cost_.bpf_tail_call;
-          if (metrics_ && metrics_->enabled()) util::bump(tail_call_counter_);
-          if (auto* t = util::active_packet_trace()) {
-            t->add("ebpf", "tail_call", cost_.bpf_tail_call,
+          if (metered) tail_call_counter_->add();
+          if (trace) {
+            trace->add("ebpf", "tail_call", cost_.bpf_tail_call,
                    (*prog_table_)[*target].name);
           }
           prog = &(*prog_table_)[*target];
@@ -562,15 +611,18 @@ VmResult Vm::interpret(const Program& entry_prog, HelperContext& hctx) {
         state.extra_cycles += cost_.bpf_helper_base;
         regs[kR0] = helper->fn(hctx, regs[kR1], regs[kR2], regs[kR3],
                                regs[kR4], regs[kR5]);
-        if (metrics_ && metrics_->enabled()) {
-          util::bump(helper_counter(helper_id));
+        if (metered) {
+          util::CounterShard* calls = helper_id < helper_counters_.size()
+                                          ? helper_counters_[helper_id]
+                                          : nullptr;
+          (calls ? calls : helper_counter(helper_id))->add();
           if (helper_id == kHelperMapLookup) {
-            util::bump(regs[kR0] != 0 ? map_hits_ : map_misses_);
+            (regs[kR0] != 0 ? map_hits_ : map_misses_)->add();
           }
         }
-        if (auto* t = util::active_packet_trace()) {
+        if (trace) {
           // Helper base cost plus whatever the helper charged itself.
-          t->add("ebpf", helper_name(helper_id),
+          trace->add("ebpf", helper_name(helper_id),
                  state.extra_cycles - cycles_before);
         }
         // r1-r5 are clobbered by calls.
@@ -584,8 +636,8 @@ VmResult Vm::interpret(const Program& entry_prog, HelperContext& hctx) {
         result.redirect_xsk = state.redirect_xsk;
         result.insns_executed = executed;
         result.cycles = executed * cost_.bpf_insn + state.extra_cycles;
-        if (auto* t = util::active_packet_trace()) {
-          t->add("ebpf", "exit", result.cycles, action_name(result.ret));
+        if (trace) {
+          trace->add("ebpf", "exit", result.cycles, action_name(result.ret));
         }
         return result;
       }

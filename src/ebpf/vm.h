@@ -13,6 +13,7 @@
 #include "ebpf/program.h"
 #include "kernel/cost_model.h"
 #include "net/packet.h"
+#include "util/metrics.h"
 
 namespace linuxfp::engine {
 class FlowCacheRecorder;
@@ -53,11 +54,12 @@ class Vm {
   unsigned cpu() const { return cpu_; }
 
   // Binds per-helper-call counters ("ebpf.helper.<name>.calls"), map
-  // hit/miss counters and the tail-call counter to `registry` (null
-  // unbinds). Counter pointers for every registered helper are resolved
-  // eagerly here (creation is control-plane-only; worker threads must never
-  // insert into the registry), so the per-call cost is one indexed relaxed
-  // increment.
+  // hit/miss counters, the tail-call counter and the bpf_fib_lookup FIB
+  // counters to `registry` (null unbinds) as this VM's own shards: the VM is
+  // their only writer, so the per-call cost is one indexed plain add.
+  // Shards for every registered helper are resolved eagerly here (creation
+  // is control-plane-only; worker threads must never insert into the
+  // registry). Rebinding folds the old shards into their base counters.
   void set_metrics(util::MetricsRegistry* registry);
 
  private:
@@ -82,11 +84,42 @@ class Vm {
     std::vector<Span> spans;
   };
 
+  // Bounds-checked translation of a tagged pointer for the load/store hot
+  // path: the same per-region checks as translate(), but a fault returns
+  // nullptr instead of building an error. Callers ask translate() for the
+  // message only on that cold path.
+  std::uint8_t* resolve(std::uint64_t tagged, std::size_t len) {
+    RunState& s = *state_;
+    const std::uint64_t payload = ptr_payload(tagged);
+    switch (ptr_region(tagged)) {
+      case Region::kStack:
+        return payload + len > kStackSize ? nullptr : s.stack + payload;
+      case Region::kPacket:
+        return !s.pkt || payload + len > s.pkt->size()
+                   ? nullptr
+                   : s.pkt->data() + payload;
+      case Region::kCtx:
+        return payload + len > kCtxSize ? nullptr : s.ctx + payload;
+      case Region::kMapValue: {
+        const std::uint64_t handle = payload >> 24;
+        const std::uint64_t off = payload & 0xffffff;
+        if (handle >= s.spans.size()) return nullptr;
+        const RunState::Span& span = s.spans[handle];
+        return off + len > span.size ? nullptr : span.base + off;
+      }
+      case Region::kNone:
+        break;
+    }
+    return nullptr;
+  }
   util::Result<std::uint8_t*> translate(std::uint64_t tagged, std::size_t len);
-  util::Counter* helper_counter(std::uint32_t helper_id);
+  util::CounterShard* helper_counter(std::uint32_t helper_id);
+  void note_fib_lookup(bool hit, std::size_t depth);
 
-  // The pre-decoded interpreter loop; state_ must be live.
-  VmResult interpret(const Program& prog, HelperContext& hctx);
+  // The pre-decoded interpreter loop; state_ must be live. `trace` is the
+  // packet trace active for this run (null when tracing is off).
+  VmResult interpret(const Program& prog, HelperContext& hctx,
+                     util::PacketTrace* trace);
 
   const kern::CostModel& cost_;
   const HelperRegistry& helpers_;
@@ -95,11 +128,13 @@ class Vm {
   unsigned cpu_ = 0;
   RunState* state_ = nullptr;  // valid during run()
 
-  util::MetricsRegistry* metrics_ = nullptr;
-  std::vector<util::Counter*> helper_counters_;  // indexed by helper id
-  util::Counter* map_hits_ = nullptr;
-  util::Counter* map_misses_ = nullptr;
-  util::Counter* tail_call_counter_ = nullptr;
+  util::ShardSet shards_;
+  std::vector<util::CounterShard*> helper_counters_;  // indexed by helper id
+  util::CounterShard* map_hits_ = nullptr;
+  util::CounterShard* map_misses_ = nullptr;
+  util::CounterShard* tail_call_counter_ = nullptr;
+  util::CounterShard* fib_lookups_ = nullptr;
+  util::CounterShard* fib_depth_total_ = nullptr;
 };
 
 }  // namespace linuxfp::ebpf

@@ -99,14 +99,14 @@ void Engine::worker_main(unsigned q) {
   net::Packet pkt;
   for (;;) {
     if (cfg_.worker_poll_hook) cfg_.worker_poll_hook(q);
-    qs.heartbeat.fetch_add(1, std::memory_order_relaxed);
+    qs.beat();
     unsigned n = 0;
     while (n < cfg_.napi_budget && qs.ring.try_pop(pkt)) {
       process_packet(q, std::move(pkt));
       // Per-packet beat: a worker mid-burst is alive, and a busy queue must
       // not read as stuck just because one NAPI poll outlasts the watchdog's
       // sampling cadence.
-      qs.heartbeat.fetch_add(1, std::memory_order_relaxed);
+      qs.beat();
       ++n;
     }
     if (n > 0) {
@@ -187,7 +187,7 @@ void Engine::process_packet(unsigned q, net::Packet&& pkt) {
     }
     // Waiting for slow-ring space is by-design liveness, not a stall: keep
     // beating so the watchdog doesn't declare this queue dead mid-handoff.
-    queues_[q]->heartbeat.fetch_add(1, std::memory_order_relaxed);
+    queues_[q]->beat();
     std::this_thread::yield();
   }
 }
@@ -216,7 +216,7 @@ void Engine::tx_enqueue(unsigned q, int oif, net::Packet&& pkt) {
     }
     // Same liveness contract as the slow-ring handoff: waiting for the
     // drainer is not a stall, keep beating.
-    queues_[q]->heartbeat.fetch_add(1, std::memory_order_relaxed);
+    queues_[q]->beat();
     std::this_thread::yield();
   }
 }

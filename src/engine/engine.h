@@ -187,9 +187,15 @@ class Engine {
   struct QueueState {
     explicit QueueState(std::size_t depth) : ring(depth) {}
     BoundedRing<net::Packet> ring;
-    // Bumped once per worker poll iteration (busy or idle); a frozen value
-    // with packets waiting is the watchdog's stuck signal.
+    // Bumped once per worker poll iteration (busy or idle) and per packet;
+    // a frozen value with packets waiting is the watchdog's stuck signal.
+    // The worker is its only writer, so a beat is a relaxed load + store
+    // (no lock prefix on the packet path); the watchdog only loads it.
     std::atomic<std::uint64_t> heartbeat{0};
+    void beat() {
+      heartbeat.store(heartbeat.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
+    }
     // Padded so adjacent queues' stats never share a cache line.
     alignas(64) QueueStats stats;
   };

@@ -1,6 +1,7 @@
 #include "engine/flowcache.h"
 
 #include <cstring>
+#include <iterator>
 
 #include "engine/rss.h"
 #include "util/logging.h"
@@ -23,6 +24,31 @@ FlowCache::FlowCache(std::size_t entries) {
   set_mask_ = sets - 1;
   entries_.resize(sets * kWays);
   victim_.resize(sets, 0);
+}
+
+namespace {
+
+// Registry names mirroring FlowCacheStats, in field order.
+constexpr const char* kMetricNames[] = {
+    "flowcache.hits",        "flowcache.misses",
+    "flowcache.invalidations", "flowcache.evictions",
+    "flowcache.uncacheable", "flowcache.replay_mismatch"};
+
+}  // namespace
+
+void FlowCache::declare_metrics(util::MetricsRegistry& registry) {
+  for (const char* name : kMetricNames) registry.counter(name);
+}
+
+void FlowCache::set_metrics(util::MetricsRegistry* registry) {
+  shards_.bind(registry);
+  util::CounterShard* s[std::size(kMetricNames)] = {};
+  if (registry) {
+    for (std::size_t i = 0; i < std::size(kMetricNames); ++i) {
+      s[i] = shards_.shard(kMetricNames[i]);
+    }
+  }
+  metrics_ = {s[0], s[1], s[2], s[3], s[4], s[5]};
 }
 
 std::size_t FlowCache::live_entries() const {

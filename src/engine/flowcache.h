@@ -204,22 +204,6 @@ class FlowCacheRecorder {
 
 // --- the cache ---------------------------------------------------------------
 
-// Registry counters mirroring FlowCacheStats ("flowcache.*" names), shared
-// by every per-CPU cache of an attachment (Counter bumps are relaxed
-// atomics, safe from concurrent workers). `registry` gates emission the same
-// way the attachment's other mirrors do.
-struct FlowCacheMetrics {
-  util::MetricsRegistry* registry = nullptr;
-  util::Counter* hits = nullptr;
-  util::Counter* misses = nullptr;
-  util::Counter* invalidations = nullptr;
-  util::Counter* evictions = nullptr;
-  util::Counter* uncacheable = nullptr;
-  util::Counter* replay_mismatch = nullptr;
-
-  bool on() const { return registry != nullptr && registry->enabled(); }
-};
-
 struct FlowCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -277,8 +261,13 @@ class FlowCache {
   // Recorder for the next miss on this CPU (reused across packets).
   FlowCacheRecorder& recorder() { return recorder_; }
 
-  // Mirrors stat events into registry counters (control-plane call).
-  void set_metrics(const FlowCacheMetrics& m) { metrics_ = m; }
+  // Mirrors stat events into "flowcache.*" registry counters through this
+  // cache's own shards (its CPU's worker is the only writer). Null unbinds.
+  // Control-plane call.
+  void set_metrics(util::MetricsRegistry* registry);
+  // Creates the "flowcache.*" names at 0, for registries that should list
+  // them whether or not any cache is on.
+  static void declare_metrics(util::MetricsRegistry& registry);
 
   const FlowCacheStats& stats() const { return stats_; }
   std::size_t capacity() const { return entries_.size(); }
@@ -322,8 +311,8 @@ class FlowCache {
   static bool replay_ct(const Entry& e, kern::Kernel& kernel);
   static void replay_fdb(const Entry& e, kern::Kernel& kernel);
 
-  void note(util::Counter* c) {
-    if (metrics_.on()) util::bump(c);
+  void note(util::CounterShard* c) {
+    if (shards_.on()) c->add();
   }
 
   std::size_t set_mask_ = 0;
@@ -331,7 +320,16 @@ class FlowCache {
   std::vector<std::uint8_t> victim_;  // per-set round-robin eviction cursor
   FlowCacheRecorder recorder_;
   FlowCacheStats stats_;
-  FlowCacheMetrics metrics_;
+  // Shards mirroring FlowCacheStats, resolved by set_metrics.
+  util::ShardSet shards_;
+  struct {
+    util::CounterShard* hits = nullptr;
+    util::CounterShard* misses = nullptr;
+    util::CounterShard* invalidations = nullptr;
+    util::CounterShard* evictions = nullptr;
+    util::CounterShard* uncacheable = nullptr;
+    util::CounterShard* replay_mismatch = nullptr;
+  } metrics_;
 };
 
 }  // namespace linuxfp::engine

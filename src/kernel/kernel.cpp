@@ -44,11 +44,11 @@ Kernel::Kernel(std::string hostname, CostModel cost)
   netlink_.set_dump_provider(this);
   stage_sink_.bind(&metrics_, "slowpath.");
   for (int i = 0; i <= static_cast<int>(Drop::kNoDevice); ++i) {
-    drop_counters_[i] = metrics_.counter(
-        std::string("drop.") + drop_name(static_cast<Drop>(i)));
+    drop_shards_[i] = metrics_.owner_shard(std::string("drop.") +
+                                           drop_name(static_cast<Drop>(i)));
   }
-  fib_lookups_ = metrics_.counter("fib.lookups");
-  fib_depth_total_ = metrics_.counter("fib.depth_total");
+  fib_lookups_ = metrics_.owner_shard("fib.lookups");
+  fib_depth_total_ = metrics_.owner_shard("fib.depth_total");
 }
 
 Kernel::~Kernel() = default;

@@ -280,9 +280,7 @@ class Kernel : public nl::DumpProvider {
   void note_extra_drops(Drop reason, std::uint64_t extra) {
     if (extra == 0) return;
     counters_.drops[reason] += extra;
-    if (metrics_.enabled()) {
-      util::bump(drop_counters_[static_cast<int>(reason)], extra);
-    }
+    if (metrics_.enabled()) drop_shards_[static_cast<int>(reason)]->add(extra);
   }
 
   // --- observability --------------------------------------------------------
@@ -311,16 +309,6 @@ class Kernel : public nl::DumpProvider {
   // skips comparison for this packet. Resolution happens automatically when
   // the top-level rx()/rx_from_engine() that is executing completes.
   bool shadow_begin(std::uint64_t cookie);
-  // FIB activity for the metrics layer; depth comes back in the FibResult
-  // (see fib.h) so the const lookup stays free of shared mutable state.
-  // Public because the bpf_fib_lookup helper reads fib() directly and must
-  // report through the same counters as the slow path.
-  void note_fib_lookup(const std::optional<FibResult>& hit) {
-    if (!metrics_.enabled()) return;
-    util::bump(fib_lookups_);
-    if (hit) util::bump(fib_depth_total_, hit->depth);
-  }
-
   // Enables conntrack consultation on forwarded/delivered packets (off by
   // default; the Kubernetes scenario turns it on, like kube-proxy does).
   // Toggling changes helper behaviour, so it counts as a device-level
@@ -382,7 +370,7 @@ class Kernel : public nl::DumpProvider {
   // Prometheus exporter read (and what the equivalence fuzz diffs).
   void count_drop(Drop reason) {
     ++counters_.drops[reason];
-    if (metrics_.enabled()) util::bump(drop_counters_[static_cast<int>(reason)]);
+    if (metrics_.enabled()) drop_shards_[static_cast<int>(reason)]->add();
     if (auto* t = util::active_packet_trace()) {
       t->add("verdict", drop_name(reason), 0);
     }
@@ -391,6 +379,16 @@ class Kernel : public nl::DumpProvider {
   RxSummary drop(Drop reason) {
     count_drop(reason);
     return RxSummary{false, reason};
+  }
+
+  // Slow-path FIB activity for the metrics layer; depth comes back in the
+  // FibResult (see fib.h) so the const lookup stays free of shared mutable
+  // state. The bpf_fib_lookup helper reports through its VM's shards
+  // instead (it runs on engine workers, not on this writer).
+  void note_fib_lookup(const std::optional<FibResult>& hit) {
+    if (!metrics_.enabled()) return;
+    fib_lookups_->add();
+    if (hit) fib_depth_total_->add(hit->depth);
   }
 
   util::Json link_attrs(const NetDevice& dev) const;
@@ -426,11 +424,12 @@ class Kernel : public nl::DumpProvider {
   util::MetricsRegistry metrics_;
   util::StageSink stage_sink_;
   util::TraceRing* trace_ring_ = nullptr;
-  // Cached registry counters, bound once in the constructor so datapath
-  // emission never does a name lookup.
-  util::Counter* drop_counters_[16] = {};
-  util::Counter* fib_lookups_ = nullptr;
-  util::Counter* fib_depth_total_ = nullptr;
+  // The registry's owner shards, written only by this kernel's slow-path
+  // writer (the sim caller, or the engine's slow thread); bound once in the
+  // constructor so datapath emission never does a name lookup.
+  util::CounterShard* drop_shards_[16] = {};
+  util::CounterShard* fib_lookups_ = nullptr;
+  util::CounterShard* fib_depth_total_ = nullptr;
 
   std::map<std::pair<std::uint8_t, std::uint16_t>, L4Handler> l4_handlers_;
 

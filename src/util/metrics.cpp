@@ -44,13 +44,27 @@ Json Histogram::to_json() const {
   return h;
 }
 
-Counter* MetricsRegistry::counter(const std::string& name) {
+MetricsRegistry::~MetricsRegistry() {
+  // Sets that outlive the registry keep their chunks (their owners may
+  // still write them) but forget the binding, so their teardown touches
+  // nothing here.
+  for (ShardSet* set : sets_) set->registry_ = nullptr;
+}
+
+CounterEntry* MetricsRegistry::entry(const std::string& name) {
   auto it = counters_.find(name);
   if (it != counters_.end()) return it->second;
-  counter_values_.emplace_back(0);
-  Counter* slot = &counter_values_.back();
-  counters_.emplace(name, slot);
-  return slot;
+  CounterEntry* e = &entries_.emplace_back();
+  counters_.emplace(name, e);
+  return e;
+}
+
+Counter* MetricsRegistry::counter(const std::string& name) {
+  return &entry(name)->base;
+}
+
+CounterShard* MetricsRegistry::owner_shard(const std::string& name) {
+  return &entry(name)->owner;
 }
 
 Histogram* MetricsRegistry::histogram(const std::string& name) {
@@ -62,22 +76,72 @@ Histogram* MetricsRegistry::histogram(const std::string& name) {
   return slot;
 }
 
+std::uint64_t MetricsRegistry::total(const CounterEntry& e) {
+  std::uint64_t sum = counter_value(&e.base) + e.owner.value();
+  for (const ShardCell* c = e.shards; c; c = c->next) sum += c->shard.value();
+  return sum;
+}
+
 std::uint64_t MetricsRegistry::value(const std::string& name) const {
   auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : counter_value(it->second);
+  return it == counters_.end() ? 0 : total(*it->second);
+}
+
+std::size_t MetricsRegistry::live_shards() const {
+  std::size_t n = 0;
+  for (const ShardSet* set : sets_) n += set->size();
+  return n;
 }
 
 void MetricsRegistry::reset() {
-  for (Counter& v : counter_values_) v.store(0, std::memory_order_relaxed);
+  for (CounterEntry& e : entries_) {
+    e.base.store(0, std::memory_order_relaxed);
+    e.owner.v_.store(0, std::memory_order_relaxed);
+    for (ShardCell* c = e.shards; c; c = c->next) {
+      c->shard.v_.store(0, std::memory_order_relaxed);
+    }
+  }
   for (auto& [name, hist] : histograms_) *hist = Histogram(&histograms_enabled_);
+}
+
+void MetricsRegistry::release(ShardSet& set) {
+  // Fold each shard into its base counter so the name's total does not
+  // drop when its writer goes away, then unlink it.
+  for (std::size_t i = 0; i < set.used_; ++i) {
+    ShardCell& cell = set.cell(i);
+    bump(&cell.entry->base, cell.shard.value());
+    ShardCell** link = &cell.entry->shards;
+    while (*link != &cell) link = &(*link)->next;
+    *link = cell.next;
+  }
+  sets_.erase(std::find(sets_.begin(), sets_.end(), &set));
+}
+
+void ShardSet::bind(MetricsRegistry* registry) {
+  if (registry_) registry_->release(*this);
+  chunks_.clear();
+  used_ = 0;
+  registry_ = registry;
+  if (registry_) registry_->sets_.push_back(this);
+}
+
+CounterShard* ShardSet::shard(const std::string& name) {
+  CounterEntry* e = registry_->entry(name);
+  for (std::size_t i = 0; i < used_; ++i) {
+    if (cell(i).entry == e) return &cell(i).shard;
+  }
+  if (used_ % kPerChunk == 0) chunks_.push_back(std::make_unique<Chunk>());
+  ShardCell& c = cell(used_++);
+  c.entry = e;
+  c.next = e->shards;
+  e->shards = &c;
+  return &c.shard;
 }
 
 Json MetricsRegistry::to_json() const {
   Json out = Json::object();
   Json counters = Json::object();
-  for (const auto& [name, value] : counters_) {
-    counters[name] = counter_value(value);
-  }
+  for (const auto& [name, e] : counters_) counters[name] = total(*e);
   out["counters"] = counters;
   Json hists = Json::object();
   for (const auto& [name, hist] : histograms_) {
@@ -89,10 +153,10 @@ Json MetricsRegistry::to_json() const {
 
 std::string MetricsRegistry::prometheus_text(const std::string& prefix) const {
   std::ostringstream out;
-  for (const auto& [name, value] : counters_) {
+  for (const auto& [name, e] : counters_) {
     std::string metric = prefix + "_" + sanitize(name);
     out << "# TYPE " << metric << " counter\n";
-    out << metric << " " << counter_value(value) << "\n";
+    out << metric << " " << total(*e) << "\n";
   }
   for (const auto& [name, hist] : histograms_) {
     if (hist->count() == 0) continue;
@@ -120,6 +184,16 @@ void StageSink::bind(MetricsRegistry* registry, std::string prefix) {
   overflow_.clear();
 }
 
+StageSink::Slot StageSink::make_slot(const char* stage) {
+  Slot slot;
+  slot.stage = stage;
+  std::string base = prefix_ + stage;
+  slot.calls = registry_->owner_shard(base + ".calls");
+  slot.cycles = registry_->owner_shard(base + ".cycles");
+  slot.hist = registry_->histogram(base + ".cycles_hist");
+  return slot;
+}
+
 StageSink::Slot& StageSink::slot_for(const char* stage) {
   // Pointer-identity hash: stage names are string literals, so the address
   // is a stable key and probing costs no string work at all.
@@ -130,11 +204,7 @@ StageSink::Slot& StageSink::slot_for(const char* stage) {
     Slot& slot = slots_[(idx + probe) & (kSlots - 1)];
     if (slot.stage == stage) return slot;
     if (slot.stage == nullptr) {
-      slot.stage = stage;
-      std::string base = prefix_ + stage;
-      slot.calls = registry_->counter(base + ".calls");
-      slot.cycles = registry_->counter(base + ".cycles");
-      slot.hist = registry_->histogram(base + ".cycles_hist");
+      slot = make_slot(stage);
       return slot;
     }
   }
@@ -144,13 +214,7 @@ StageSink::Slot& StageSink::slot_for(const char* stage) {
 StageSink::Slot& StageSink::overflow_slot_for(const char* stage) {
   auto it = overflow_.find(stage);
   if (it != overflow_.end()) return it->second;
-  Slot slot;
-  slot.stage = stage;
-  std::string base = prefix_ + stage;
-  slot.calls = registry_->counter(base + ".calls");
-  slot.cycles = registry_->counter(base + ".cycles");
-  slot.hist = registry_->histogram(base + ".cycles_hist");
-  return overflow_.emplace(stage, slot).first->second;
+  return overflow_.emplace(stage, make_slot(stage)).first->second;
 }
 
 Json PacketTrace::to_json() const {

@@ -345,5 +345,152 @@ TEST_F(VmTest, InstructionBudgetGuard) {
   EXPECT_TRUE(r.aborted);
 }
 
+TEST(HelperRegistryTest, DenseIndexCopiesByValueAndListsIdsInOrder) {
+  auto fn = [](std::uint64_t ret) {
+    return [ret](HelperContext&, std::uint64_t, std::uint64_t, std::uint64_t,
+                 std::uint64_t, std::uint64_t) -> std::uint64_t { return ret; };
+  };
+  HelperRegistry reg;
+  reg.register_helper(202, "c", fn(3));
+  reg.register_helper(5, "a", fn(1));
+  reg.register_helper(69, "b", fn(2));
+  reg.register_helper(5, "a2", fn(4));  // re-registration replaces
+  EXPECT_EQ(reg.ids(), (std::vector<std::uint32_t>{5, 69, 202}));
+  EXPECT_EQ(reg.find(100), nullptr);
+  EXPECT_EQ(reg.find(5000), nullptr);
+
+  // A by-value copy resolves into its own storage, so it stays valid after
+  // the original is gone.
+  HelperRegistry copy;
+  {
+    HelperRegistry tmp = reg;
+    copy = tmp;
+  }
+  ASSERT_NE(copy.find(69), nullptr);
+  EXPECT_EQ(copy.find(69)->name, "b");
+  EXPECT_EQ(copy.find(5)->name, "a2");
+  EXPECT_NE(copy.find(202), reg.find(202));
+  EXPECT_EQ(copy.ids(), reg.ids());
+}
+
+// --- fault paths -------------------------------------------------------------
+// Every runtime fault pins the full verdict: the abort, the exact error text,
+// how many instructions ran (the faulting one included) and the cycles
+// charged up to the fault. The bounds checks stay at run time regardless of
+// what the verifier proved, so each program here skips its check on purpose.
+
+void expect_fault(const VmResult& r, const std::string& error,
+                  std::uint64_t insns, std::uint64_t cycles) {
+  EXPECT_TRUE(r.aborted);
+  EXPECT_EQ(r.ret, kActAborted);
+  EXPECT_EQ(r.error, error);
+  EXPECT_EQ(r.insns_executed, insns);
+  EXPECT_EQ(r.cycles, cycles);
+}
+
+TEST_F(VmTest, FaultPacketPastEnd) {
+  ProgramBuilder b("pkt_oob", HookType::kXdp);
+  b.ldx(kR7, kR1, kCtxData, MemSize::kU64);
+  b.ldx(kR0, kR7, 60, MemSize::kU64);  // bytes 60..67 of a 64-byte packet
+  b.exit();
+  net::Packet pkt(64);
+  expect_fault(run(b.build().value(), pkt), "packet access out of bounds", 2,
+               2 * cost_.bpf_insn);
+}
+
+TEST_F(VmTest, FaultStackPastFrame) {
+  ProgramBuilder b("stack_oob", HookType::kXdp);
+  b.mov(kR0, 1);
+  b.ldx(kR0, kR10, 0, MemSize::kU64);  // r10 is one past the frame
+  b.exit();
+  net::Packet pkt(64);
+  expect_fault(run(b.build().value(), pkt), "stack access out of bounds", 2,
+               2 * cost_.bpf_insn);
+}
+
+TEST_F(VmTest, FaultStoreStackPastFrame) {
+  ProgramBuilder b("stack_st_oob", HookType::kXdp);
+  b.st(kR10, -4, 7, MemSize::kU64);  // straddles the frame's top
+  b.exit();
+  net::Packet pkt(64);
+  expect_fault(run(b.build().value(), pkt), "stack access out of bounds", 1,
+               cost_.bpf_insn);
+}
+
+TEST_F(VmTest, FaultCtxPastEnd) {
+  ProgramBuilder b("ctx_oob", HookType::kXdp);
+  b.ldx(kR0, kR1, kCtxSize, MemSize::kU32);
+  b.exit();
+  net::Packet pkt(64);
+  expect_fault(run(b.build().value(), pkt), "ctx access out of bounds", 1,
+               cost_.bpf_insn);
+}
+
+TEST_F(VmTest, FaultMapValuePastSpan) {
+  std::uint32_t map_id = maps_.create("h", MapType::kHash, 4, 8, 16);
+  std::uint32_t key = 7;
+  std::uint64_t value = 1;
+  ASSERT_TRUE(maps_.get(map_id)
+                  ->update(reinterpret_cast<std::uint8_t*>(&key),
+                           reinterpret_cast<std::uint8_t*>(&value))
+                  .ok());
+
+  ProgramBuilder b("mapval_oob", HookType::kXdp);
+  b.mov_reg(kR2, kR10);
+  b.add(kR2, -8);
+  b.st(kR2, 0, 7, MemSize::kU32);
+  b.mov(kR1, map_id);
+  b.call(kHelperMapLookup);
+  b.jeq(kR0, 0, "miss");
+  b.stx(kR0, 4, kR2, MemSize::kU64);  // bytes 4..11 of an 8-byte value
+  b.label("miss");
+  b.ret(kActPass);
+  net::Packet pkt(64);
+  expect_fault(run(b.build().value(), pkt), "map value access out of bounds",
+               7, 7 * cost_.bpf_insn + cost_.bpf_helper_base +
+                      cost_.bpf_map_hash);
+}
+
+TEST_F(VmTest, FaultBadMapValueHandle) {
+  // A forged map-value pointer whose handle was never handed out.
+  ProgramBuilder b("bad_handle", HookType::kXdp);
+  b.mov(kR2, static_cast<std::int64_t>(
+                 make_ptr(Region::kMapValue, std::uint64_t{3} << 24)));
+  b.ldx(kR0, kR2, 0, MemSize::kU8);
+  b.exit();
+  net::Packet pkt(64);
+  expect_fault(run(b.build().value(), pkt), "bad map value handle", 2,
+               2 * cost_.bpf_insn);
+}
+
+TEST_F(VmTest, FaultScalarDereference) {
+  ProgramBuilder b("scalar", HookType::kXdp);
+  b.mov(kR2, 0x1000);
+  b.st(kR2, 0, 1, MemSize::kU16);
+  b.exit();
+  net::Packet pkt(64);
+  expect_fault(run(b.build().value(), pkt), "dereference of scalar value", 2,
+               2 * cost_.bpf_insn);
+}
+
+TEST_F(VmTest, FaultUnknownHelperInsideDenseRange) {
+  ProgramBuilder b("helper100", HookType::kXdp);
+  b.mov(kR1, 0);
+  b.call(100);
+  b.exit();
+  net::Packet pkt(64);
+  expect_fault(run(b.build().value(), pkt), "unknown helper 100", 2,
+               2 * cost_.bpf_insn);
+}
+
+TEST_F(VmTest, FaultUnknownHelperPastDenseRange) {
+  ProgramBuilder b("helper5000", HookType::kXdp);
+  b.call(5000);
+  b.exit();
+  net::Packet pkt(64);
+  expect_fault(run(b.build().value(), pkt), "unknown helper 5000", 1,
+               cost_.bpf_insn);
+}
+
 }  // namespace
 }  // namespace linuxfp::ebpf

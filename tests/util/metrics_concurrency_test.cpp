@@ -1,7 +1,10 @@
-// Regression test for the atomic counter layer (ISSUE 4 satellite): the
-// engine's worker pool bumps registry counters from many threads at once,
-// so counters must be std::atomic — with plain uint64_t these tests lose
-// increments and fail. Run under TSan by tools/ci.sh.
+// Regression test for the any-thread base counter: bump() is an atomic
+// fetch_add, so concurrent bumps from many threads lose nothing. Packet-path
+// counters no longer take this path — each writer adds to its own shard
+// (one writer per shard, readers sum; see util/metrics.h and the ShardSet /
+// CounterShards suites) — but cold sites such as engine reconcile and the
+// deployer still bump base counters, and may do so from any thread. Run
+// under TSan by tools/ci.sh.
 #include "util/metrics.h"
 
 #include <gtest/gtest.h>

@@ -183,6 +183,77 @@ TEST(TraceRing, TraceJsonRoundTrip) {
   EXPECT_EQ(all.size(), 1u);
 }
 
+TEST(ShardSet, ReadersSumBaseAndShards) {
+  MetricsRegistry reg;
+  ShardSet a, b;
+  a.bind(&reg);
+  b.bind(&reg);
+  CounterShard* sa = a.shard("ebpf.map.hits");
+  EXPECT_EQ(a.shard("ebpf.map.hits"), sa);  // find-or-create per writer
+  CounterShard* sb = b.shard("ebpf.map.hits");
+  EXPECT_NE(sa, sb);
+  EXPECT_TRUE(reg.has_counter("ebpf.map.hits"));
+  EXPECT_EQ(reg.live_shards(), 2u);
+
+  sa->add(3);
+  sb->add();
+  bump(reg.counter("ebpf.map.hits"), 10);
+  reg.owner_shard("ebpf.map.hits")->add(100);
+  EXPECT_EQ(reg.value("ebpf.map.hits"), 114u);
+  EXPECT_EQ(reg.to_json().at("counters").at("ebpf.map.hits").as_int(), 114);
+  EXPECT_NE(reg.prometheus_text().find("linuxfp_ebpf_map_hits 114\n"),
+            std::string::npos);
+  EXPECT_EQ(reg.live_shards(), 2u);  // owner shards are not set shards
+
+  reg.reset();
+  EXPECT_EQ(reg.value("ebpf.map.hits"), 0u);
+  sa->add(2);  // cached shard pointers stay valid across reset
+  EXPECT_EQ(reg.value("ebpf.map.hits"), 2u);
+}
+
+TEST(ShardSet, ReleaseFoldsIntoBaseAndRecycles) {
+  MetricsRegistry reg;
+  ShardSet keep;
+  keep.bind(&reg);
+  keep.shard("x")->add(1);
+  for (int owner = 0; owner < 100; ++owner) {
+    ShardSet gone;
+    gone.bind(&reg);
+    gone.shard("x")->add(2);
+    gone.shard("y")->add();
+    EXPECT_EQ(reg.live_shards(), 3u);
+  }
+  // Every departed writer's count survives in the base counter; none of
+  // its shards does.
+  EXPECT_EQ(reg.value("x"), 201u);
+  EXPECT_EQ(reg.value("y"), 100u);
+  EXPECT_EQ(reg.live_shards(), 1u);
+
+  // Rebinding releases too.
+  keep.bind(&reg);
+  EXPECT_EQ(keep.size(), 0u);
+  EXPECT_EQ(reg.value("x"), 201u);
+  EXPECT_EQ(reg.live_shards(), 0u);
+}
+
+TEST(ShardSet, EnabledGateAndRegistryDestroyedFirst) {
+  ShardSet set;
+  EXPECT_FALSE(set.on());
+  {
+    MetricsRegistry reg;
+    set.bind(&reg);
+    EXPECT_TRUE(set.on());
+    reg.set_enabled(false);
+    EXPECT_FALSE(set.on());
+    reg.set_enabled(true);
+    set.shard("z")->add();
+  }
+  // The registry detached the set on destruction: unbound, and its own
+  // teardown touches nothing freed.
+  EXPECT_EQ(set.registry(), nullptr);
+  EXPECT_FALSE(set.on());
+}
+
 TEST(ActivePacketTrace, GlobalSetAndClear) {
   EXPECT_EQ(active_packet_trace(), nullptr);
   PacketTrace t;
